@@ -219,21 +219,14 @@ func serveCmd(args []string) int {
 			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 			return
 		}
-		var req struct {
-			Queries []queryJSON `json:"queries"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		var req batchRequest
+		if !decodeJSON(w, r, &req) {
 			return
 		}
-		qs := make([]gossipq.Query, len(req.Queries))
-		for i, qj := range req.Queries {
-			q, err := qj.query(*eps, defaultMode)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			qs[i] = q
+		qs, err := req.queries(*eps, defaultMode)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
 		answers, err := backend.Batch(qs)
 		if err != nil {
@@ -253,21 +246,14 @@ func serveCmd(args []string) int {
 			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 			return
 		}
-		var req struct {
-			Ops []mutationJSON `json:"ops"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		var req mutateRequest
+		if !decodeJSON(w, r, &req) {
 			return
 		}
-		ops := make([]gossipq.Mutation, len(req.Ops))
-		for i, mj := range req.Ops {
-			op, err := mj.mutation()
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("op %d: %w", i, err))
-				return
-			}
-			ops[i] = op
+		ops, err := req.mutations()
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
 		}
 		gen, err := backend.Mutate(ops)
 		if err != nil {
@@ -602,19 +588,11 @@ func (m *serverMetrics) registerSession(session *gossipq.Session) {
 	m.reg.GaugeFunc("gossipq_snapshot_last_refresh_build_seconds",
 		"Wall-clock duration of the most recent snapshot build.",
 		stats(func(s gossipq.SessionStats) float64 { return s.LastRefreshBuild.Seconds() }))
-	m.reg.CounterFunc("gossipq_snapshot_backings_total",
-		"Snapshot builds by grid-array provenance (freelist recycle vs fresh allocation).",
-		stats(func(s gossipq.SessionStats) float64 { return float64(s.RecycledBackings) }),
-		telemetry.L("source", "recycled"))
-	m.reg.CounterFunc("gossipq_snapshot_backings_total",
-		"Snapshot builds by grid-array provenance (freelist recycle vs fresh allocation).",
-		stats(func(s gossipq.SessionStats) float64 { return float64(s.FreshBackings) }),
-		telemetry.L("source", "fresh"))
 }
 
 // registerSharded adds the shard router's counters to the scrape. Names are
 // kept compatible with the session series where the meaning matches (queries,
-// refreshes, backings) and the cross-shard topology gets its own gauges.
+// refreshes) and the cross-shard topology gets its own gauges.
 func (m *serverMetrics) registerSharded(ss *gossipq.ShardedSession) {
 	stats := func(f func(gossipq.ShardedStats) float64) func() float64 {
 		return func() float64 { return f(ss.Stats()) }
@@ -653,14 +631,6 @@ func (m *serverMetrics) registerSharded(ss *gossipq.ShardedSession) {
 	m.reg.GaugeFunc("gossipq_snapshot_last_refresh_build_seconds",
 		"Wall-clock duration of the most recent merged-summary build.",
 		stats(func(s gossipq.ShardedStats) float64 { return s.LastRefreshBuild.Seconds() }))
-	m.reg.CounterFunc("gossipq_snapshot_backings_total",
-		"Snapshot builds by grid-array provenance (freelist recycle vs fresh allocation).",
-		stats(func(s gossipq.ShardedStats) float64 { return float64(s.RecycledBackings) }),
-		telemetry.L("source", "recycled"))
-	m.reg.CounterFunc("gossipq_snapshot_backings_total",
-		"Snapshot builds by grid-array provenance (freelist recycle vs fresh allocation).",
-		stats(func(s gossipq.ShardedStats) float64 { return float64(s.FreshBackings) }),
-		telemetry.L("source", "fresh"))
 }
 
 // statusWriter captures the response status for error accounting; an unset
@@ -719,6 +689,40 @@ func (q queryJSON) query(defaultEps float64, defaultMode gossipq.ServeMode) (gos
 		return gossipq.Query{}, err
 	}
 	return gossipq.Query{Phi: *q.Phi, Eps: eps, Exact: q.Exact, Mode: mode}, nil
+}
+
+// batchRequest is the /batch body.
+type batchRequest struct {
+	Queries []queryJSON `json:"queries"`
+}
+
+func (b batchRequest) queries(defaultEps float64, defaultMode gossipq.ServeMode) ([]gossipq.Query, error) {
+	qs := make([]gossipq.Query, len(b.Queries))
+	for i, qj := range b.Queries {
+		q, err := qj.query(defaultEps, defaultMode)
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		qs[i] = q
+	}
+	return qs, nil
+}
+
+// mutateRequest is the /mutate body.
+type mutateRequest struct {
+	Ops []mutationJSON `json:"ops"`
+}
+
+func (m mutateRequest) mutations() ([]gossipq.Mutation, error) {
+	ops := make([]gossipq.Mutation, len(m.Ops))
+	for i, mj := range m.Ops {
+		op, err := mj.mutation()
+		if err != nil {
+			return nil, fmt.Errorf("op %d: %w", i, err)
+		}
+		ops[i] = op
+	}
+	return ops, nil
 }
 
 // mutationJSON is the wire shape of one population mutation. Op uses
@@ -864,6 +868,28 @@ func errStatus(err error) int {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusUnprocessableEntity
+}
+
+// maxBodyBytes caps a /batch or /mutate request body: room for a mutation
+// batch of ~200k operations, while one oversized POST can no longer make
+// the server buffer an unbounded body.
+const maxBodyBytes = 8 << 20
+
+// decodeJSON decodes r's JSON body into v, reading at most maxBodyBytes. On
+// failure it writes the error response itself — 413 for an oversized body,
+// 400 for a malformed one — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", maxBodyBytes))
+	} else {
+		httpError(w, http.StatusBadRequest, err)
+	}
+	return false
 }
 
 // httpError writes an error response with the body fully buffered first, so

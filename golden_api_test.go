@@ -1,6 +1,7 @@
 package gossipq_test
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -146,6 +147,114 @@ func TestGoldenFacadeTranscripts(t *testing.T) {
 		}
 		if g.metrics != w.metrics {
 			t.Errorf("%s: metrics %+v, golden %+v", w.name, g.metrics, w.metrics)
+		}
+	}
+}
+
+// TestSnapshotGoldenTranscripts pins the snapshot serving tier bit for bit:
+// a Session's answers over a 201-point φ sweep plus each build's Metrics
+// after two forced refreshes, the same for S ∈ {2, 4} sharded sessions
+// before and after a dirty-shard repair, and every node view and rank of an
+// all-node BuildSummary. The hashes were recorded before the snapshot tier
+// switched to one-row storage; a change to how snapshots are stored must
+// leave every one of them unchanged.
+func TestSnapshotGoldenTranscripts(t *testing.T) {
+	const eps = 0.1
+	want := map[string]uint64{
+		"session":     0xe9ce1805d4874095,
+		"sharded/S=2": 0xcf1d76dda66ba312,
+		"sharded/S=4": 0x93d81533c76d7ac0,
+		"summary":     0x876a1025470af626,
+	}
+	hashMetrics := func(h *uint64, m gossipq.Metrics) {
+		apiHash64(h, uint64(m.Rounds))
+		apiHash64(h, uint64(m.Messages))
+		apiHash64(h, uint64(m.Bits))
+		apiHash64(h, uint64(m.MaxMessageBits))
+	}
+	sweep := func(h *uint64, info gossipq.SnapshotInfo, ask func(gossipq.Query) (gossipq.Answer, error)) {
+		t.Helper()
+		apiHash64(h, info.Version)
+		apiHash64(h, uint64(info.N))
+		hashMetrics(h, info.BuildMetrics)
+		for i := 0; i <= 200; i++ {
+			a, err := ask(gossipq.Query{Phi: float64(i) / 200, Eps: eps, Mode: gossipq.ServeSnapshot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Mode != gossipq.ServeSnapshot {
+				t.Fatalf("phi=%v served %v, want snapshot", float64(i)/200, a.Mode)
+			}
+			apiHash64(h, uint64(a.Value))
+			apiHash64(h, a.SnapshotVersion)
+			apiHash64(h, a.Generation)
+			apiHash64(h, uint64(a.Covered))
+		}
+	}
+	got := map[string]uint64{}
+
+	s, err := gossipq.NewSession(dist.Generate(dist.Uniform, 4096, 111), gossipq.Config{Seed: 211})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a().Sum64()
+	for r := 0; r < 2; r++ {
+		info, err := s.ForceRefresh(eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep(&h, info, s.Ask)
+	}
+	got["session"] = h
+
+	values := dist.Generate(dist.Zipf, 8192, 112)
+	for _, shards := range []int{2, 4} {
+		ss, err := gossipq.NewShardedSession(values, shards, gossipq.Config{Seed: 212})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a().Sum64()
+		info, err := ss.ForceRefresh(eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep(&h, info, ss.Ask)
+		// Over-budget churn on shard 0 only: the gated Refresh rebuilds it
+		// and merges the other shards from cache.
+		muts := make([]gossipq.Mutation, 150)
+		for i := range muts {
+			muts[i] = gossipq.Mutation{Op: gossipq.OpUpdate, Index: i, Value: int64(1000 * i)}
+		}
+		if _, err := ss.Mutate(muts); err != nil {
+			t.Fatal(err)
+		}
+		if info, err = ss.Refresh(eps); err != nil {
+			t.Fatal(err)
+		}
+		sweep(&h, info, ss.Ask)
+		ss.Close()
+		got[fmt.Sprintf("sharded/S=%d", shards)] = h
+	}
+
+	v := dist.Generate(dist.Gaussian, 1024, 113)
+	sum, err := gossipq.BuildSummary(v, eps, gossipq.Config{Seed: 213})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = fnv.New64a().Sum64()
+	hashMetrics(&h, sum.Metrics)
+	for node := 0; node < len(v); node++ {
+		for _, c := range sum.NodeView(node) {
+			apiHash64(&h, uint64(c))
+		}
+		apiHash64(&h, math.Float64bits(sum.Rank(node, v[node])))
+		apiHash64(&h, uint64(sum.Query(node, float64(node)/float64(len(v)))))
+	}
+	got["summary"] = h
+
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: snapshot hash %#016x, golden %#016x — snapshot answers changed", name, got[name], w)
 		}
 	}
 }

@@ -56,9 +56,9 @@ func RunSharded(o Options) (Result, error) {
 	}
 	defer cleanup()
 
-	// One cold refresh absorbs lazy allocation (rig pools, merge scratch,
-	// recycled backings), then the timed refresh measures the steady state
-	// the refresher loop lives in.
+	// One cold refresh absorbs lazy allocation (the shards' rig pools), then
+	// the timed refresh measures the steady state the refresher loop lives
+	// in.
 	if _, err := ss.ForceRefresh(o.SummaryEps); err != nil {
 		return Result{}, err
 	}

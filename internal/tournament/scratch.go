@@ -78,8 +78,8 @@ func (s *Scratch) plan3(eps float64, n int) Plan3 {
 	return p
 }
 
-// EnsureInt64 resizes buf to length n, reusing capacity.
-func EnsureInt64(buf []int64, n int) []int64 {
+// ensureInt64 resizes buf to length n, reusing capacity.
+func ensureInt64(buf []int64, n int) []int64 {
 	if cap(buf) < n {
 		return make([]int64, n)
 	}
@@ -117,8 +117,8 @@ func (s *Scratch) ApproxQuantile(values []int64, phi, eps float64, opt Options) 
 	}
 	eps = ClampEps(eps)
 
-	s.bufA = EnsureInt64(s.bufA, n)
-	s.bufB = EnsureInt64(s.bufB, n)
+	s.bufA = ensureInt64(s.bufA, n)
+	s.bufB = ensureInt64(s.bufB, n)
 	cur, next := s.bufA, s.bufB
 	copy(cur, values)
 	dst1, dst2, dst3 := s.ws.Dst(0), s.ws.Dst(1), s.ws.Dst(2)
@@ -206,7 +206,7 @@ func (s *Scratch) sampleMedian(cur []int64, k int) []int64 {
 			}
 		}
 	}
-	s.out = EnsureInt64(s.out, n)
+	s.out = ensureInt64(s.out, n)
 	out := s.out
 	for v := 0; v < n; v++ {
 		out[v] = medianOf(samples[v*k : (v+1)*k])
@@ -230,8 +230,8 @@ func (s *Scratch) RobustApproxQuantile(values []int64, phi, eps float64, opt Rob
 		mu = sim.MaxProb(e.Failures(), n)
 	}
 
-	s.bufA = EnsureInt64(s.bufA, n)
-	s.bufB = EnsureInt64(s.bufB, n)
+	s.bufA = ensureInt64(s.bufA, n)
+	s.bufB = ensureInt64(s.bufB, n)
 	cur, next := s.bufA, s.bufB
 	copy(cur, values)
 	s.good = ensureBool(s.good, n)
@@ -325,7 +325,7 @@ func (s *Scratch) RobustApproxQuantile(values []int64, phi, eps float64, opt Rob
 	s.finalPulls = ensureRows(s.finalPulls, n)
 	finalPulls := s.finalPulls
 	gather(FinalPulls(mu, kf), kf, finalPulls)
-	s.out = EnsureInt64(s.out, n)
+	s.out = ensureInt64(s.out, n)
 	// nextGood doubles as the result's Has buffer from here on: the good-set
 	// bookkeeping is complete, and reusing it keeps the scratch at two bool
 	// buffers.
@@ -367,37 +367,21 @@ func (s *Scratch) RobustApproxQuantile(values []int64, phi, eps float64, opt Rob
 
 // GridQuantiles runs one ApproxQuantile per grid target, all on the
 // scratch's engine — the shared core of OwnQuantiles-style computations
-// (Corollary 1.5) and summary builds. dst[i] receives run i's per-node
-// outputs; rows are allocated (or resized) as needed and dst itself is grown
-// if shorter than grid, so passing nil yields a fresh table while a recycled
-// table from an earlier (possibly differently-sized) grid reuses every row
-// backing it can. The transcript is identical to running the package-level
-// ApproxQuantile in a loop on the same engine; running many grids through
-// one scratch is what lets a serving-layer rebuild allocate nothing but the
-// published copy.
+// (Corollary 1.5). dst[i] receives run i's per-node outputs; rows are
+// allocated (or resized) as needed and dst itself is grown if shorter than
+// grid, so passing nil yields a fresh table. The transcript is identical to
+// running the package-level ApproxQuantile in a loop on the same engine.
 func (s *Scratch) GridQuantiles(values []int64, grid []float64, eps float64, opt Options, dst [][]int64) [][]int64 {
 	n := s.ws.Engine().N()
-	dst = EnsureRowCount(dst, len(grid))
+	for len(dst) < len(grid) {
+		dst = append(dst, nil)
+	}
 	for i, phi := range grid {
 		out := s.ApproxQuantile(values, phi, eps, opt)
-		dst[i] = EnsureInt64(dst[i], n)
+		dst[i] = ensureInt64(dst[i], n)
 		copy(dst[i], out)
 	}
 	return dst
-}
-
-// EnsureRowCount grows rows to at least k entries, reslicing within capacity
-// first so row backings parked beyond len by an earlier shrink are recovered
-// rather than clobbered with nil.
-func EnsureRowCount(rows [][]int64, k int) [][]int64 {
-	for len(rows) < k {
-		if cap(rows) > len(rows) {
-			rows = rows[:len(rows)+1]
-		} else {
-			rows = append(rows, nil)
-		}
-	}
-	return rows
 }
 
 // GridQuantiles is the one-shot form of Scratch.GridQuantiles: a throwaway

@@ -42,14 +42,6 @@ import (
 
 var errMergeEmpty = errors.New("gossipq: merge of zero summaries")
 
-// mergeScratch holds the merge's reusable working set: the sorted candidate
-// buffer and the per-summary envelope cursors. A zero value is ready to use;
-// reusing one across merges makes the steady state allocation-free.
-type mergeScratch struct {
-	cand []int64
-	gpos []int
-}
-
 // Merge combines s and o into one summary over both populations, weighted
 // by their sizes, at width min(s.Eps()+o.Eps(), 0.5): the merged summary's
 // rank answers are within ±(ε_s+ε_o) of the combined population's truth
@@ -75,8 +67,7 @@ func MergeSummaries(sums []*Summary, eps float64) (*Summary, error) {
 	if err := validMergeInputs(sums, eps); err != nil {
 		return nil, err
 	}
-	var sc mergeScratch
-	return mergeSummariesInto(sums, eps, summaryBacking{}, &sc), nil
+	return mergeSummaries(sums, eps), nil
 }
 
 // validMergeInputs rejects merge calls the engine room assumes away.
@@ -98,39 +89,32 @@ func validMergeInputs(sums []*Summary, eps float64) error {
 	return nil
 }
 
-// mergeSummariesInto is the engine room of Merge/MergeSummaries and the
-// sharded refresh path: it merges sums at width eps, drawing cut and
-// envelope storage from b and working storage from sc — with a recycled b
-// and a warm sc the steady state allocates only the Summary header and its
-// two row tables. Inputs must have passed validMergeInputs.
+// mergeSummaries is the engine room of Merge/MergeSummaries and the sharded
+// refresh path: it merges sums at width eps. Inputs must have passed
+// validMergeInputs.
 //
 // The merged summary is single-node (its cut table has one column): it is
 // the node-0 view the snapshot serving tier reads, not a per-node gossip
 // result. Its Metrics aggregate the inputs as a concurrent execution would:
 // Rounds and MaxMessageBits are maxima (shards run their protocols in
 // parallel), Messages and Bits are sums (total work).
-func mergeSummariesInto(sums []*Summary, eps float64, b summaryBacking, sc *mergeScratch) *Summary {
-	totalN := 0
+func mergeSummaries(sums []*Summary, eps float64) *Summary {
+	totalN, totalCuts := 0, 0
 	for _, s := range sums {
 		totalN += s.n
+		totalCuts += len(s.grid)
 	}
 	out := &Summary{eps: eps, n: totalN, grid: tournament.QuantileGrid(eps / 2)}
 
 	// Candidate set: the union of every input's node-0 envelope, sorted.
 	// Sorting the multiset by value is what makes the merge input-order
 	// insensitive.
-	sc.cand = sc.cand[:0]
+	cand := make([]int64, 0, totalCuts)
 	for _, s := range sums {
-		sc.cand = s.EnvelopeView(0, sc.cand)
+		cand = s.EnvelopeView(0, cand)
 	}
-	slices.Sort(sc.cand)
-	if cap(sc.gpos) < len(sums) {
-		sc.gpos = make([]int, len(sums))
-	}
-	gpos := sc.gpos[:len(sums)]
-	for i := range gpos {
-		gpos[i] = 0
-	}
+	slices.Sort(cand)
+	gpos := make([]int, len(sums))
 
 	// countAt advances the per-summary cursors to x and returns the estimated
 	// number of combined-population values at or below x: summary i
@@ -161,10 +145,9 @@ func mergeSummariesInto(sums []*Summary, eps float64, b summaryBacking, sc *merg
 		return total
 	}
 
-	out.cuts = tournament.EnsureRowCount(b.cuts, len(out.grid))[:len(out.grid)]
-	out.env = tournament.EnsureRowCount(b.env, len(out.grid))[:len(out.grid)]
+	out.cuts, out.env = newCutTable(len(out.grid), 1)
 	ci := 0
-	cnt := countAt(sc.cand[0])
+	cnt := countAt(cand[0])
 	for t, phi := range out.grid {
 		// The paper's ⌈φN⌉ rank convention, clamped into [1, N].
 		target := int64(math.Ceil(phi * float64(totalN)))
@@ -174,17 +157,15 @@ func mergeSummariesInto(sums []*Summary, eps float64, b summaryBacking, sc *merg
 		if target > int64(totalN) {
 			target = int64(totalN)
 		}
-		for cnt < target && ci+1 < len(sc.cand) {
+		for cnt < target && ci+1 < len(cand) {
 			ci++
-			if sc.cand[ci] == sc.cand[ci-1] {
+			if cand[ci] == cand[ci-1] {
 				continue // same value, same count
 			}
-			cnt = countAt(sc.cand[ci])
+			cnt = countAt(cand[ci])
 		}
-		out.cuts[t] = tournament.EnsureInt64(out.cuts[t], 1)
-		out.cuts[t][0] = sc.cand[ci]
-		out.env[t] = tournament.EnsureInt64(out.env[t], 1)
-		out.env[t][0] = sc.cand[ci]
+		out.cuts[t][0] = cand[ci]
+		out.env[t][0] = cand[ci]
 	}
 
 	for _, s := range sums {

@@ -254,10 +254,10 @@ func summaryEnvelopeRank(s *Summary, x int64) float64 {
 	return est
 }
 
-// TestMergeSteadyStateAllocs pins the Into path's allocation budget: with a
-// warm scratch and recycled backing, a merge allocates only the Summary
-// header, its grid, and the two row tables — well under the ≤16 refresh
-// budget the sharded session inherits.
+// TestMergeSteadyStateAllocs pins the merge's allocation budget: a merge
+// allocates only the Summary header, its grid, the candidate and cursor
+// buffers, and one cut-table slab with its row table — well under the ≤16
+// refresh budget the sharded session inherits.
 func TestMergeSteadyStateAllocs(t *testing.T) {
 	const eps = 0.1
 	var sums []*Summary
@@ -269,11 +269,10 @@ func TestMergeSteadyStateAllocs(t *testing.T) {
 		}
 		sums = append(sums, s)
 	}
-	var sc mergeScratch
-	b := mergeSummariesInto(sums, eps, summaryBacking{}, &sc).backing()
 	allocs := testing.AllocsPerRun(50, func() {
-		m := mergeSummariesInto(sums, eps, b, &sc)
-		b = m.backing()
+		if _, err := MergeSummaries(sums, eps); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs > 16 {
 		t.Errorf("steady-state merge allocates %.0f objects, want <= 16", allocs)

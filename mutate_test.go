@@ -517,9 +517,9 @@ func TestMutationAllocs(t *testing.T) {
 		t.Errorf("steady-state update: %v allocs, want 0", avg)
 	}
 
-	// Warm the snapshot tier (two builds: freelist + current), then measure
-	// a drift-forced repair — churn past the budget, then the gated Refresh
-	// must rebuild within the recycling bound.
+	// Warm the snapshot tier with two builds, then measure a drift-forced
+	// repair — churn past the budget, then the gated Refresh must rebuild
+	// within the snapshot tier's rebuild bound.
 	if _, err := s.ForceRefresh(eps); err != nil {
 		t.Fatal(err)
 	}

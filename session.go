@@ -85,11 +85,10 @@ type Session struct {
 	pool sync.Pool // *queryRig
 
 	// Snapshot serving tier (snapshot.go): the current versioned ε-summary
-	// behind lock-free reads (box — shared machinery with ShardedSession,
-	// see snapbox.go), plus the refresh/refresher lifecycle. snapMu
+	// behind lock-free reads, plus the refresh/refresher lifecycle. snapMu
 	// serializes refreshes and guards the refresh counter, the closed flag,
 	// and the refresher channels.
-	box           snapBox
+	snap          atomic.Pointer[snapshot]
 	snapMu        sync.Mutex
 	refreshes     uint64
 	closed        bool
@@ -142,10 +141,6 @@ type SessionStats struct {
 	// snapshot trade.
 	RefreshBuildTotal time.Duration
 	LastRefreshBuild  time.Duration
-	// RecycledBackings and FreshBackings split refresh builds by whether the
-	// grid arrays came off the retired-snapshot freelist or were allocated.
-	RecycledBackings int64
-	FreshBackings    int64
 	// Inserts, Deletes, and Updates count applied mutation operations by
 	// kind; Generation counts successful mutation calls (a batched Mutate is
 	// one generation step).
@@ -175,8 +170,6 @@ func (s *Session) Stats() SessionStats {
 		Refreshes:         refreshes,
 		RefreshBuildTotal: time.Duration(s.qstats.refreshBuildNanos.Load()),
 		LastRefreshBuild:  time.Duration(s.qstats.lastRefreshNanos.Load()),
-		RecycledBackings:  s.box.recycledBackings.Load(),
-		FreshBackings:     s.box.freshBackings.Load(),
 		Inserts:           s.qstats.inserts.Load(),
 		Deletes:           s.qstats.deletes.Load(),
 		Updates:           s.qstats.updates.Load(),
@@ -447,7 +440,7 @@ func (s *Session) OracleQuantile(phi float64) int64 {
 	return s.ensureOracle().Quantile(phi)
 }
 
-func (s *Session) validateQuery(q Query) error {
+func validateQuery(q Query) error {
 	if q.Phi < 0 || q.Phi > 1 || math.IsNaN(q.Phi) {
 		return fmt.Errorf("%w, got %v", errBadPhi, q.Phi)
 	}
@@ -477,7 +470,7 @@ func (s *Session) Ask(q Query) (Answer, error) {
 }
 
 func (s *Session) one(q Query) (Answer, error) {
-	if err := s.validateQuery(q); err != nil {
+	if err := validateQuery(q); err != nil {
 		return Answer{}, err
 	}
 	if ans, ok := s.snapshotAnswer(q); ok {
@@ -511,7 +504,7 @@ func (s *Session) Batch(qs []Query) ([]Answer, error) {
 // slices in a zero-allocation serving loop.
 func (s *Session) BatchInto(dst []Answer, qs []Query) ([]Answer, error) {
 	for _, q := range qs {
-		if err := s.validateQuery(q); err != nil {
+		if err := validateQuery(q); err != nil {
 			return dst, err
 		}
 	}

@@ -16,12 +16,13 @@ import (
 // (internal/shard): ShardedSession partitions one logical population across
 // S shard workers, each running the full gossip quantile protocol locally on
 // its slice, and publishes one merged ε-summary for the whole population
-// through the same snapBox machinery the single-process Session uses. The
-// cross-shard cost per refresh is constant — one broadcast hop, one gather
-// hop (Router.Gather) — whatever the population size or shard count; the
-// merge itself is local arithmetic (mergeSummariesInto). Shard summaries are
-// built at width ε/2 and merged at ε, which keeps the merged answers within
-// ±εN of the whole-population rank (see merge.go's error decomposition).
+// through the same snapshot type and read path the single-process Session
+// uses. The cross-shard cost per refresh is constant — one broadcast hop,
+// one gather hop (Router.Gather) — whatever the population size or shard
+// count; the merge itself is local arithmetic (mergeSummaries). Shard
+// summaries are built at width ε/2 and merged at ε, which keeps the merged
+// answers within ±εN of the whole-population rank (see merge.go's error
+// decomposition).
 //
 // Two deployment shapes share this type:
 //
@@ -72,10 +73,6 @@ type ShardedStats struct {
 	// communication hops regardless of shard count or population size.
 	Epochs       uint64
 	HopsPerEpoch int
-	// RecycledBackings and FreshBackings split merge builds by whether the
-	// grid arrays came off the retired-snapshot freelist.
-	RecycledBackings int64
-	FreshBackings    int64
 	// Generation counts successful mutation calls; MutationOps individual
 	// applied operations across all shards (the drift unit).
 	Generation  uint64
@@ -88,12 +85,11 @@ type ShardedStats struct {
 
 // ShardedSession serves quantile queries over a population partitioned
 // across shard workers. All answers come from the published merged
-// ε-summary (lock-free, allocation-free reads through the same snapBox as
-// Session); a query the standing summary cannot serve triggers one
-// synchronous drift-gated Refresh. Mutations are routed to the owning shard
-// by global index and tracked per shard, so a refresh repairs only the
-// shards whose accumulated drift threatens the εn bound (the dirty-shard
-// repair).
+// ε-summary (lock-free, allocation-free reads, as in Session); a query the
+// standing summary cannot serve triggers one synchronous drift-gated
+// Refresh. Mutations are routed to the owning shard by global index and
+// tracked per shard, so a refresh repairs only the shards whose accumulated
+// drift threatens the εn bound (the dirty-shard repair).
 //
 // Queries (Ask, Batch) and Snapshot are safe for arbitrary goroutine
 // concurrency. Refresh and Mutate serialize on the session.
@@ -123,14 +119,13 @@ type ShardedSession struct {
 	gathered []shard.ShardSummary
 	batches  [][]shard.Op
 	sizes    []int
-	msc      mergeScratch
 
 	// totalOps and generation mirror Session's drift accounting, atomic so
 	// the lock-free query path can stamp staleness without taking mu.
 	totalOps   atomic.Uint64
 	generation atomic.Uint64
 
-	box    snapBox
+	snap   atomic.Pointer[snapshot]
 	sstats shardedStats
 
 	stopRefresher chan struct{}
@@ -171,17 +166,11 @@ func (b *sessionBackend) Rebuild(eps float64) ([]int64, int, uint64, error) {
 	if _, err := b.s.ForceRefresh(eps); err != nil {
 		return nil, 0, 0, err
 	}
-	p := b.s.box.acquire()
+	p := b.s.snap.Load()
 	if p == nil {
 		return nil, 0, 0, errors.New("gossipq: refresh published no snapshot")
 	}
-	// EnvelopeView copies, so the returned cuts stay valid after the
-	// snapshot generation retires — required: chan transports pass payload
-	// slices by reference.
-	cuts := p.sum.EnvelopeView(0, nil)
-	n, gen := p.n, p.gen
-	p.release(&b.s.box)
-	return cuts, n, gen, nil
+	return p.sum.EnvelopeView(0, nil), p.n, p.gen, nil
 }
 
 func (b *sessionBackend) Apply(ops []shard.Op) (int, uint64, error) {
@@ -351,7 +340,7 @@ func (ss *ShardedSession) Refresh(eps float64) (SnapshotInfo, error) {
 		}
 	}
 	if need == 0 {
-		if p := ss.box.cur.Load(); p != nil && p.sum.eps == eps {
+		if p := ss.snap.Load(); p != nil && p.sum.eps == eps {
 			ss.sstats.refreshesSkipped.Add(1)
 			return p.info(ss.totalOps.Load()), nil
 		}
@@ -400,7 +389,7 @@ func (ss *ShardedSession) rebuildLocked(eps float64, need int) (SnapshotInfo, er
 			ss.opsSince[g.Shard] = 0
 		}
 	}
-	merged := mergeSummariesInto(ss.cache, eps, ss.box.popBacking(), &ss.msc)
+	merged := mergeSummaries(ss.cache, eps)
 	buildNanos := time.Since(start).Nanoseconds()
 	ss.sstats.refreshBuildNanos.Add(buildNanos)
 	ss.sstats.lastRefreshNanos.Store(buildNanos)
@@ -411,7 +400,7 @@ func (ss *ShardedSession) rebuildLocked(eps float64, need int) (SnapshotInfo, er
 		gen: ss.generation.Load(), ops: ss.totalOps.Load(), n: merged.n,
 		budget: driftBudget(eps, merged.n),
 	}
-	ss.box.publish(sn)
+	ss.snap.Store(sn)
 	return sn.info(sn.ops), nil
 }
 
@@ -459,39 +448,22 @@ func (ss *ShardedSession) StartRefresher(eps float64, ttl time.Duration) (Snapsh
 // Snapshot reports the published merged snapshot's metadata, if any,
 // including its current drift against the sharded population.
 func (ss *ShardedSession) Snapshot() (SnapshotInfo, bool) {
-	p := ss.box.acquire()
+	p := ss.snap.Load()
 	if p == nil {
 		return SnapshotInfo{}, false
 	}
-	info := p.info(ss.totalOps.Load())
-	p.release(&ss.box)
-	return info, true
+	return p.info(ss.totalOps.Load()), true
 }
 
 // snapAnswer serves q from the merged snapshot when it covers the requested
-// width and its drift stays within budget — the same lock-free read path as
-// Session.snapshotAnswer, against the sharded box.
+// width and its drift stays within budget (see snapshot.answer).
 func (ss *ShardedSession) snapAnswer(q Query) (Answer, bool) {
-	p := ss.box.acquire()
-	if p == nil {
-		return Answer{}, false
+	p := ss.snap.Load()
+	ans, ok := p.answer(q, ss.totalOps.Load())
+	if ok {
+		ss.sstats.snapshotQueries.Add(1)
 	}
-	drift := ss.totalOps.Load() - p.ops
-	if p.sum.eps > q.Eps || drift > p.budget {
-		p.release(&ss.box)
-		return Answer{}, false
-	}
-	ans := Answer{
-		Value:           p.sum.Query(0, q.Phi),
-		Covered:         p.n,
-		Mode:            ServeSnapshot,
-		SnapshotVersion: p.version,
-		Generation:      p.gen,
-		SnapshotDrift:   drift,
-	}
-	p.release(&ss.box)
-	ss.sstats.snapshotQueries.Add(1)
-	return ans, true
+	return ans, ok
 }
 
 // Ask answers one approximate query from the merged summary. When the
@@ -503,7 +475,7 @@ func (ss *ShardedSession) snapAnswer(q Query) (Answer, bool) {
 // the whole population on one engine; q.Mode is ignored, answers always
 // report ServeSnapshot.
 func (ss *ShardedSession) Ask(q Query) (Answer, error) {
-	if err := ss.validateQuery(q); err != nil {
+	if err := validateShardedQuery(q); err != nil {
 		return Answer{}, err
 	}
 	if ans, ok := ss.snapAnswer(q); ok {
@@ -538,7 +510,7 @@ func (ss *ShardedSession) Batch(qs []Query) ([]Answer, error) {
 // slices.
 func (ss *ShardedSession) BatchInto(dst []Answer, qs []Query) ([]Answer, error) {
 	for _, q := range qs {
-		if err := ss.validateQuery(q); err != nil {
+		if err := validateShardedQuery(q); err != nil {
 			return dst, err
 		}
 	}
@@ -550,14 +522,11 @@ func (ss *ShardedSession) BatchInto(dst []Answer, qs []Query) ([]Answer, error) 
 	return dst, nil
 }
 
-func (ss *ShardedSession) validateQuery(q Query) error {
+func validateShardedQuery(q Query) error {
 	if q.Exact {
 		return errShardedExact
 	}
-	if err := (&Session{}).validateQuery(q); err != nil {
-		return err
-	}
-	return nil
+	return validateQuery(q)
 }
 
 // locate maps a global index against the concatenation of the simulated
@@ -801,8 +770,6 @@ func (ss *ShardedSession) Stats() ShardedStats {
 		RefreshesSkipped:  ss.sstats.refreshesSkipped.Load(),
 		Epochs:            rst.Epochs,
 		HopsPerEpoch:      rst.HopsPerEpoch,
-		RecycledBackings:  ss.box.recycledBackings.Load(),
-		FreshBackings:     ss.box.freshBackings.Load(),
 		Generation:        ss.generation.Load(),
 		MutationOps:       ss.totalOps.Load(),
 		RefreshBuildTotal: time.Duration(ss.sstats.refreshBuildNanos.Load()),

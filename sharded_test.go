@@ -2,6 +2,7 @@ package gossipq
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,14 +16,60 @@ import (
 // (plus its width and weight) for bit-exact cross-deployment comparison.
 func publishedEnvelope(t *testing.T, ss *ShardedSession) (float64, int, []int64) {
 	t.Helper()
-	p := ss.box.acquire()
+	p := ss.snap.Load()
 	if p == nil {
 		t.Fatal("no published snapshot")
 	}
-	cuts := p.sum.EnvelopeView(0, nil)
-	eps, n := p.sum.eps, p.n
-	p.release(&ss.box)
-	return eps, n, cuts
+	return p.sum.eps, p.n, p.sum.EnvelopeView(0, nil)
+}
+
+// TestSnapshotsKeepOneRow pins the snapshot tier's storage: a published
+// session snapshot, each shard worker's snapshot, and a merged sharded
+// snapshot all keep exactly one entry per cut and envelope row — node 0's,
+// the only one a read or a shard's wire envelope uses — so a generation
+// holds Θ(1/ε) words however large the population.
+func TestSnapshotsKeepOneRow(t *testing.T) {
+	const eps = 0.1
+	values := dist.Generate(dist.Uniform, 2048, 131)
+	oneRow := func(name string, p *snapshot) {
+		t.Helper()
+		if p == nil {
+			t.Fatalf("%s: no published snapshot", name)
+		}
+		if len(p.sum.cuts) != len(p.sum.grid) || len(p.sum.env) != len(p.sum.grid) {
+			t.Fatalf("%s: %d cut rows, %d env rows, want %d each", name, len(p.sum.cuts), len(p.sum.env), len(p.sum.grid))
+		}
+		for g := range p.sum.grid {
+			if len(p.sum.cuts[g]) != 1 || len(p.sum.env[g]) != 1 {
+				t.Fatalf("%s: row %d has %d cuts and %d env entries, want 1 each",
+					name, g, len(p.sum.cuts[g]), len(p.sum.env[g]))
+			}
+		}
+	}
+
+	s, err := NewSession(values, Config{Seed: 137})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if _, err := s.ForceRefresh(eps); err != nil {
+			t.Fatal(err)
+		}
+		oneRow("session", s.snap.Load())
+	}
+
+	ss, err := NewShardedSession(values, 2, Config{Seed: 139})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if _, err := ss.ForceRefresh(eps); err != nil {
+		t.Fatal(err)
+	}
+	oneRow("merged", ss.snap.Load())
+	for i, sess := range ss.sessions {
+		oneRow(fmt.Sprintf("shard %d", i), sess.snap.Load())
+	}
 }
 
 // TestShardedMatchesOracle is the headline guarantee: the merged summary of

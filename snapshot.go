@@ -2,7 +2,6 @@ package gossipq
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"gossipq/internal/xrand"
@@ -78,9 +77,11 @@ type SnapshotInfo struct {
 // Age returns how long ago the snapshot was built.
 func (i SnapshotInfo) Age() time.Duration { return time.Since(i.BuiltAt) }
 
-// snapshot is one published generation: the immutable summary plus build
-// metadata and the reference count that lets retired generations donate
-// their cut/envelope arrays to the next rebuild.
+// snapshot is one published generation: the immutable summary (node 0's
+// row only — the one row reads answer from) plus build metadata. Session
+// and ShardedSession each publish generations through an
+// atomic.Pointer[snapshot]: publish is one Store, every read one Load, and
+// a retired generation is reclaimed by the GC once its last reader is done.
 type snapshot struct {
 	sum       *Summary
 	version   uint64
@@ -94,14 +95,6 @@ type snapshot struct {
 	ops    uint64
 	n      int
 	budget uint64
-
-	// refs counts the publish reference plus in-flight readers. The
-	// reference that drops it to zero recycles the summary's backing;
-	// recycled makes that transition once-only even though late readers can
-	// bounce the count off zero again (increment, fail the pointer
-	// re-check, release).
-	refs     atomic.Int64
-	recycled atomic.Bool
 }
 
 // info assembles the snapshot's metadata; curOps is the session's current
@@ -138,17 +131,13 @@ func driftBudget(eps float64, n int) uint64 {
 }
 
 // Snapshot reports the currently published snapshot's metadata, if any,
-// including its current drift against the live population. (The acquire/
-// release/freelist machinery itself lives on snapBox — snapbox.go — shared
-// with the sharded session.)
+// including its current drift against the live population.
 func (s *Session) Snapshot() (SnapshotInfo, bool) {
-	p := s.box.acquire()
+	p := s.snap.Load()
 	if p == nil {
 		return SnapshotInfo{}, false
 	}
-	info := p.info(s.mutOps.Load())
-	p.release(&s.box)
-	return info, true
+	return p.info(s.mutOps.Load()), true
 }
 
 // refreshSeedTag namespaces refresh-build engine seeds ("Snap") within the
@@ -182,9 +171,7 @@ var (
 // equal build counts, and equal population state publish bit-identical
 // snapshots no matter what queries ran in between. Refreshes serialize with
 // each other; readers are never blocked — they keep answering from the
-// previous generation until the atomic pointer swap, and the retired
-// generation's arrays are recycled into a later rebuild once its last
-// reader releases it.
+// previous generation until the atomic pointer swap.
 //
 // Like BuildSummary, Refresh requires a failure-free Config (the grid build
 // runs the non-robust tournament) and eps in (0, 0.5].
@@ -197,7 +184,7 @@ func (s *Session) Refresh(eps float64) (SnapshotInfo, error) {
 	if s.closed {
 		return SnapshotInfo{}, errSessionClosed
 	}
-	if p := s.box.cur.Load(); p != nil && p.sum.eps == eps {
+	if p := s.snap.Load(); p != nil && p.sum.eps == eps {
 		curOps := s.mutOps.Load()
 		if curOps-p.ops < p.budget {
 			s.qstats.refreshesSkipped.Add(1)
@@ -226,7 +213,8 @@ func (s *Session) ForceRefresh(eps float64) (SnapshotInfo, error) {
 // rebuildLocked runs one snapshot build and publishes it; the caller holds
 // snapMu. The population read lock is held across the build so the summary
 // captures one consistent population (mutations block for the build's
-// duration; queries do not).
+// duration; queries do not). The build keeps node 0's row only: that is all
+// a snapshot read or a shard's wire envelope ever looks at.
 func (s *Session) rebuildLocked(eps float64) (SnapshotInfo, error) {
 	s.popMu.RLock()
 	if s.cfg.failing(s.n) {
@@ -242,7 +230,7 @@ func (s *Session) rebuildLocked(eps float64) (SnapshotInfo, error) {
 	rig := s.checkout()
 	s.reseed(rig, s.refreshSeed(r))
 	start := time.Now()
-	sum := buildSummaryInto(rig.tour, s.values, eps, s.cfg.K, s.box.popBacking())
+	sum := buildSummaryInto(rig.tour, s.values, eps, s.cfg.K, 1)
 	buildNanos := time.Since(start).Nanoseconds()
 	s.popMu.RUnlock()
 	s.qstats.refreshBuildNanos.Add(buildNanos)
@@ -252,7 +240,7 @@ func (s *Session) rebuildLocked(eps float64) (SnapshotInfo, error) {
 		sum: sum, version: r + 1, watermark: watermark, builtAt: time.Now(),
 		gen: gen, ops: ops, n: n, budget: driftBudget(eps, n),
 	}
-	s.box.publish(sn)
+	s.snap.Store(sn)
 	return sn.info(ops), nil
 }
 
@@ -320,42 +308,47 @@ func (s *Session) Close() error {
 }
 
 // snapshotAnswer serves q from the current snapshot when the query asks for
-// ServeSnapshot and the snapshot covers it: a summary built at width εs
-// answers any request with eps ≥ εs inside the requested bound, and a stale
-// summary keeps serving while the mutation drift accumulated since its
-// build stays within its drift budget — beyond that, the ±εn guarantee for
-// the *current* population can no longer be promised and the query falls
-// back to a live run (counted as a snapshot fallback, like an uncovered
-// width). The read path is lock-free — two reference-count operations
-// around a handful of loads — and allocation-free; exact queries, uncovered
-// widths, over-drifted snapshots, and snapshot-less sessions report !ok.
-// The answer is node 0's local estimate, matching the covered-node
-// convention of live approximate answers (any node's view is a valid ±εn
-// answer); its Generation and SnapshotDrift report the staleness.
+// ServeSnapshot and the snapshot covers it (see snapshot.answer), counting
+// the outcome; exact queries, uncovered widths, over-drifted snapshots, and
+// snapshot-less sessions report !ok and fall back to a live run.
 func (s *Session) snapshotAnswer(q Query) (Answer, bool) {
 	if q.Mode != ServeSnapshot || q.Exact {
 		return Answer{}, false
 	}
-	p := s.box.acquire()
+	p := s.snap.Load()
+	ans, ok := p.answer(q, s.mutOps.Load())
+	if ok {
+		s.qstats.snapshotQueries.Add(1)
+	} else {
+		s.qstats.snapshotFallbacks.Add(1)
+	}
+	return ans, ok
+}
+
+// answer serves q from snapshot p, which may be nil (nothing published):
+// a summary built at width εs answers any request with eps ≥ εs inside the
+// requested bound, and a stale summary keeps serving while the mutation
+// drift accumulated since its build (curOps − p.ops) stays within its drift
+// budget — beyond that, the ±εn guarantee for the *current* population can
+// no longer be promised and the caller must rebuild or run live. The read
+// is lock-free and allocation-free. The answer is node 0's local estimate,
+// matching the covered-node convention of live approximate answers (any
+// node's view is a valid ±εn answer); its Generation and SnapshotDrift
+// report the staleness.
+func (p *snapshot) answer(q Query, curOps uint64) (Answer, bool) {
 	if p == nil {
-		s.qstats.snapshotFallbacks.Add(1)
 		return Answer{}, false
 	}
-	drift := s.mutOps.Load() - p.ops
+	drift := curOps - p.ops
 	if p.sum.eps > q.Eps || drift > p.budget {
-		p.release(&s.box)
-		s.qstats.snapshotFallbacks.Add(1)
 		return Answer{}, false
 	}
-	ans := Answer{
+	return Answer{
 		Value:           p.sum.Query(0, q.Phi),
 		Covered:         p.n,
 		Mode:            ServeSnapshot,
 		SnapshotVersion: p.version,
 		Generation:      p.gen,
 		SnapshotDrift:   drift,
-	}
-	p.release(&s.box)
-	s.qstats.snapshotQueries.Add(1)
-	return ans, true
+	}, true
 }

@@ -172,9 +172,8 @@ func TestSnapshotRefreshDeterminism(t *testing.T) {
 }
 
 // TestSnapshotReadAllocs asserts the acceptance gate on the read path: a
-// steady-state snapshot query performs ZERO allocations. A refresh after
-// the first two recycles the retired generation's cut/envelope backings,
-// so steady-state rebuilds stay within a small constant header cost too.
+// steady-state snapshot query performs ZERO allocations. A snapshot keeps
+// node 0's row only, so a rebuild stays within a small constant cost too.
 func TestSnapshotReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow bookkeeping allocates; alloc counts are only meaningful unraced")
@@ -200,19 +199,17 @@ func TestSnapshotReadAllocs(t *testing.T) {
 		t.Errorf("snapshot read: %v allocs/op, want 0", avg)
 	}
 
-	// Rebuilds recycle backings: with no readers pinning old generations,
-	// a refresh allocates only the generation header (Summary + grid +
-	// snapshot struct), never the grid × n cut/envelope rows again. The
-	// bound is far below one row (4096 × 8 bytes), so a recycling
-	// regression fails loudly. Forced builds — the gated Refresh would skip
-	// on this drift-free session; mutation churn keeps the same bound (see
-	// TestMutationAllocs for the forced-repair-under-churn pin).
+	// A refresh allocates only the generation itself (Summary + grid +
+	// one-row cut table + snapshot struct), never grid × n cut/envelope
+	// rows. Forced builds — the gated Refresh would skip on this drift-free
+	// session; mutation churn keeps the same bound (see TestMutationAllocs
+	// for the forced-repair-under-churn pin).
 	if avg := testing.AllocsPerRun(5, func() {
 		if _, err := s.ForceRefresh(0.1); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 16 {
-		t.Errorf("steady-state refresh: %v allocs/op, want ≤ 16 (backings not recycled?)", avg)
+		t.Errorf("steady-state refresh: %v allocs/op, want ≤ 16", avg)
 	}
 
 	// A drift-gated skipped Refresh is free: zero allocations.

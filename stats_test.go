@@ -8,8 +8,8 @@ import (
 
 // TestSessionStats walks a session through every serving path — live
 // approximate, exact, snapshot hit, snapshot fallback (both no-snapshot and
-// too-wide-summary), and recycling refreshes — and checks the counters tell
-// that exact story.
+// too-wide-summary), and forced and gated refreshes — and checks the
+// counters tell that exact story.
 func TestSessionStats(t *testing.T) {
 	const n = 800
 	values := make([]int64, n)
@@ -52,7 +52,7 @@ func TestSessionStats(t *testing.T) {
 		t.Errorf("SnapshotQueries = %d, want 0 before any refresh", st.SnapshotQueries)
 	}
 
-	// First refresh allocates a fresh backing; a snapshot query now hits.
+	// After the first refresh a snapshot query hits.
 	if _, err := s.Refresh(0.12); err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +71,15 @@ func TestSessionStats(t *testing.T) {
 	if st.SnapshotFallbacks != 2 {
 		t.Errorf("SnapshotFallbacks = %d, want 2", st.SnapshotFallbacks)
 	}
-	if st.Refreshes != 1 || st.FreshBackings != 1 || st.RecycledBackings != 0 {
-		t.Errorf("after first refresh: Refreshes=%d Fresh=%d Recycled=%d, want 1/1/0",
-			st.Refreshes, st.FreshBackings, st.RecycledBackings)
+	if st.Refreshes != 1 {
+		t.Errorf("after first refresh: Refreshes=%d, want 1", st.Refreshes)
 	}
 	if st.LastRefreshBuild <= 0 || st.RefreshBuildTotal < st.LastRefreshBuild {
 		t.Errorf("refresh timings: total=%v last=%v", st.RefreshBuildTotal, st.LastRefreshBuild)
 	}
 
-	// Second refresh still needs a fresh backing (the first generation is
-	// retired only after the second build publishes); the third refresh
-	// recycles the retired generation's arrays. Forced: the population has
-	// not drifted, so the gated Refresh would be a no-op here.
+	// Forced: the population has not drifted, so the gated Refresh would be
+	// a no-op here.
 	if _, err := s.ForceRefresh(0.12); err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +87,8 @@ func TestSessionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = s.Stats()
-	if st.Refreshes != 3 || st.FreshBackings != 2 || st.RecycledBackings != 1 {
-		t.Errorf("after three refreshes: Refreshes=%d Fresh=%d Recycled=%d, want 3/2/1",
-			st.Refreshes, st.FreshBackings, st.RecycledBackings)
+	if st.Refreshes != 3 {
+		t.Errorf("after three refreshes: Refreshes=%d, want 3", st.Refreshes)
 	}
 
 	// A drift-free gated Refresh at the published width skips the rebuild

@@ -24,22 +24,15 @@ type Summary struct {
 	eps  float64
 	n    int       // population size the summary describes
 	grid []float64 // ascending quantile targets
-	// cuts[g][v] is node v's estimate of the grid[g]-quantile.
+	// cuts[g][v] is node v's estimate of the grid[g]-quantile. Every row
+	// has one entry per node the summary keeps: all n for BuildSummary,
+	// node 0 alone for session snapshots and merged or wire summaries.
 	cuts [][]int64
 	// env is the per-node suffix-min envelope of cuts (non-decreasing in g
 	// for every node), precomputed once so Rank is a binary search.
 	env [][]int64
 	// Metrics is the build's complexity accounting.
 	Metrics Metrics
-}
-
-// summaryBacking is the reusable storage of one summary generation: the cut
-// table and its envelope. The snapshot layer recycles backings across
-// rebuilds — a retired generation's arrays become the next build's
-// destination once its last reader releases it — so steady-state refreshes
-// allocate only the small Summary header.
-type summaryBacking struct {
-	cuts, env [][]int64
 }
 
 var errSummaryFailures = errors.New(
@@ -73,17 +66,18 @@ func BuildSummary(values []int64, eps float64, cfg Config) (*Summary, error) {
 		return nil, errSummaryFailures
 	}
 	e := cfg.engine(len(values))
-	return buildSummaryInto(tournament.NewScratch(e), values, eps, cfg.K, summaryBacking{}), nil
+	return buildSummaryInto(tournament.NewScratch(e), values, eps, cfg.K, len(values)), nil
 }
 
 // buildSummaryInto is the engine-room of BuildSummary and Session.Refresh:
 // it runs the grid build on a caller-owned scratch (and thus the scratch's
-// engine — reseed it first), drawing cut and envelope storage from b. The
-// transcript depends only on the engine's seed and (n, eps, k): it is
-// bit-for-bit the pre-split BuildSummary transcript. The returned Summary
-// owns b's (resized) arrays; recycle them only after every reader of the
-// returned Summary is done.
-func buildSummaryInto(sc *tournament.Scratch, values []int64, eps float64, k int, b summaryBacking) *Summary {
+// engine — reseed it first) and keeps the first width nodes' outputs of
+// each grid run. The transcript depends only on the engine's seed and
+// (n, eps, k), never on width: it is bit-for-bit the transcript of
+// ApproxQuantile per grid point on this engine. BuildSummary keeps all n
+// nodes; a session snapshot, which only ever answers from node 0, keeps one,
+// so it holds Θ(1/ε) words rather than Θ(n/ε).
+func buildSummaryInto(sc *tournament.Scratch, values []int64, eps float64, k, width int) *Summary {
 	e := sc.Engine()
 	n := e.N()
 	step := eps / 2
@@ -95,12 +89,9 @@ func buildSummaryInto(sc *tournament.Scratch, values []int64, eps float64, k int
 		}
 	}
 	s := &Summary{eps: eps, n: n, grid: tournament.QuantileGrid(step)}
-	// One scratch serves all grid runs (transcript-identical to running
-	// ApproxQuantile per grid point on this engine).
-	s.cuts = sc.GridQuantiles(values, s.grid, gridEps, tournament.Options{K: k}, b.cuts)[:len(s.grid)]
-	s.env = tournament.EnsureRowCount(b.env, len(s.grid))[:len(s.grid)]
-	for g := range s.cuts {
-		s.env[g] = tournament.EnsureInt64(s.env[g], n)
+	s.cuts, s.env = newCutTable(len(s.grid), width)
+	for g, phi := range s.grid {
+		copy(s.cuts[g], sc.ApproxQuantile(values, phi, gridEps, tournament.Options{K: k}))
 		copy(s.env[g], s.cuts[g])
 	}
 	tournament.SuffixMinCuts(s.env)
@@ -108,11 +99,15 @@ func buildSummaryInto(sc *tournament.Scratch, values []int64, eps float64, k int
 	return s
 }
 
-// backing returns the summary's storage for recycling into a later build.
-// The full-capacity slices are recovered by the next build's row-count
-// grow, even across grids of different sizes.
-func (s *Summary) backing() summaryBacking {
-	return summaryBacking{cuts: s.cuts, env: s.env}
+// newCutTable carves a cut table and its envelope, grid rows of width
+// entries each, from one slab.
+func newCutTable(grid, width int) (cuts, env [][]int64) {
+	slab := make([]int64, 2*grid*width)
+	rows := make([][]int64, 2*grid)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows[:grid:grid], rows[grid:]
 }
 
 // Eps returns the summary's accuracy parameter.
@@ -206,11 +201,10 @@ func NewSummaryFromCuts(eps float64, n int, cuts []int64) (*Summary, error) {
 		}
 	}
 	s := &Summary{eps: eps, n: n, grid: grid}
-	s.cuts = make([][]int64, len(grid))
-	s.env = make([][]int64, len(grid))
-	for g := range grid {
-		s.cuts[g] = []int64{cuts[g]}
-		s.env[g] = []int64{cuts[g]}
+	s.cuts, s.env = newCutTable(len(grid), 1)
+	for g, c := range cuts {
+		s.cuts[g][0] = c
+		s.env[g][0] = c
 	}
 	return s, nil
 }
