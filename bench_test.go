@@ -7,6 +7,7 @@ package gossipq
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gossipq/internal/dist"
@@ -366,4 +367,36 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// BenchmarkGridBuild measures the protocol layer of a snapshot refresh: one
+// buildSummaryInto grid build (every grid point's ApproxQuantile, keeping
+// one row as Session.rebuildLocked does) at ε = 0.05, on one engine worker
+// and on every CPU. The num_cpu metric records the box the row came from;
+// the two worker counts coincide on a one-CPU box, which then runs one row.
+func BenchmarkGridBuild(b *testing.B) {
+	cpus := runtime.NumCPU()
+	workers := []int{1}
+	if cpus > 1 {
+		workers = append(workers, cpus)
+	}
+	for _, n := range []int{1 << 14, 1 << 16} {
+		values := dist.Generate(dist.Uniform, n, 1)
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				e := sim.New(n, 1, sim.WithWorkers(w))
+				sc := tournament.NewScratch(e)
+				buildSummaryInto(sc, values, 0.05, 0, 1) // warm-up: scratch buffers, worker gang
+				b.ReportAllocs()
+				b.ResetTimer()
+				var sum *Summary
+				for i := 0; i < b.N; i++ {
+					e.Reset(uint64(i))
+					sum = buildSummaryInto(sc, values, 0.05, 0, 1)
+				}
+				b.ReportMetric(float64(sum.Metrics.Rounds), "rounds")
+				b.ReportMetric(float64(cpus), "num_cpu")
+			})
+		}
+	}
 }

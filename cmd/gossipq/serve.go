@@ -63,7 +63,7 @@ func serveCmd(args []string) int {
 		workload   = fs.String("workload", "uniform", "value distribution: "+strings.Join(dist.Names(), "|"))
 		seed       = fs.Uint64("seed", 1, "session seed (each query derives its engine from (seed, query id))")
 		eps        = fs.Float64("eps", 0.05, "default approximation width for queries that omit eps")
-		workers    = fs.Int("workers", 1, "per-query simulation workers; 1 leaves the cores to concurrent queries")
+		workers    = fs.Int("workers", 0, "simulation workers per protocol run — pulls and per-node tournament work of every query and snapshot rebuild (0: GOMAXPROCS, or one per shard with -shards; 1 leaves the cores to concurrent live queries)")
 		prewarm    = fs.Int("prewarm", 0, "build this many query rigs at startup (0: one per core); concurrency beyond the warm pool pays rig construction on first overlap")
 		check      = fs.Bool("check", false, "verify every answer against the centralized oracle (adds \"ok\" to responses)")
 		sumEps     = fs.Float64("summary-eps", 0, "serve approximate queries from a versioned ε-summary snapshot at this width (0 disables the snapshot tier; sharded serving defaults it to -eps)")
@@ -105,6 +105,11 @@ func serveCmd(args []string) int {
 			*sumEps = *eps
 		}
 		cfg := gossipq.Config{Seed: *seed, Workers: *workers}
+		if cfg.Workers == 0 {
+			// S shard sessions already split the cores, as S `gossipq
+			// shard` processes on one host do: one engine worker each.
+			cfg.Workers = 1
+		}
 		if *shardAddrs == "" {
 			sharded, err = gossipq.NewShardedSession(values, *shards, cfg)
 			if err != nil {

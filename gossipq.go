@@ -84,7 +84,9 @@ type Config struct {
 	Seed uint64
 	// Failures optionally injects the §5 failure model.
 	Failures FailureModel
-	// Workers caps simulation parallelism (0 = GOMAXPROCS); any value
+	// Workers caps simulation parallelism (0 = GOMAXPROCS): the engine
+	// shards every round's pulls and pushes, and every tournament
+	// iteration's per-node work, across this many goroutines. Any value
 	// yields the same transcript. Negative values are rejected.
 	Workers int
 	// K is the sample count of the tournament algorithms' final step

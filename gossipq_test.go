@@ -1,10 +1,14 @@
 package gossipq
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"gossipq/internal/dist"
+	"gossipq/internal/sim"
 	"gossipq/internal/stats"
 )
 
@@ -180,19 +184,88 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
+// workerTranscript hashes everything TestDeterministicAcrossWorkers
+// compares: outputs, Metrics, round events, cut tables and the exact answer.
+type workerTranscript struct{ hash.Hash64 }
+
+func (tr workerTranscript) ints(xs ...int64) {
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		tr.Write(b[:])
+	}
+}
+
+func (tr workerTranscript) metrics(m Metrics) {
+	tr.ints(int64(m.Rounds), m.Messages, m.Bits, int64(m.MaxMessageBits))
+}
+
+// ObserveRound folds every round event, in order, into the hash.
+func (tr workerTranscript) ObserveRound(ev RoundEvent) {
+	tr.ints(int64(ev.Round), int64(ev.Rounds), ev.Messages, ev.Deliveries, ev.Bits, int64(ev.MsgBits))
+	tr.Write([]byte(ev.Phase))
+}
+
+// TestDeterministicAcrossWorkers pins the transcript across engine worker
+// counts at a population every count shards (n/2048 = 8 shards at most):
+// the approximate outputs, Metrics, the full RoundObserver event stream, the
+// BuildSummary cut tables and the exact answer hash identically for Workers
+// 1, 2, 4 and 8, to values recorded before the tournament's per-node step
+// ran on the engine's worker gang. It runs failure-free and under a round-
+// and node-dependent failure model that is silent in rounds 0-7, the window
+// sim.MaxProb probes, so the facade still runs the failure-free tournament
+// while coins fire in every later round: a round that drew its failure
+// coins at the wrong round index, or emitted its events out of order, fails
+// here.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	values := dist.Generate(dist.Uniform, 20000, 10)
-	a, err := ApproxQuantile(values, 0.3, 0.05, Config{Seed: 11, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	const n = 16384
+	values := dist.Generate(dist.Uniform, n, 10)
+	roundDependent := sim.FailureFunc(func(v, r int) float64 {
+		if r >= 8 && (v+r)%5 == 0 {
+			return 0.3
+		}
+		return 0
+	})
+	cases := []struct {
+		name string
+		fail FailureModel
+		want uint64
+	}{
+		{"failure-free", nil, 0x0a17196e8468aa27},
+		{"round-dependent", roundDependent, 0xaea235143fc746cf},
 	}
-	b, err := ApproxQuantile(values, 0.3, 0.05, Config{Seed: 11, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Outputs {
-		if a.Outputs[i] != b.Outputs[i] {
-			t.Fatalf("worker count changed outputs at node %d", i)
+	for _, c := range cases {
+		for _, workers := range []int{1, 2, 4, 8} {
+			tr := workerTranscript{fnv.New64a()}
+			cfg := Config{Seed: 11, Workers: workers, Failures: c.fail, RoundObserver: tr}
+			a, err := ApproxQuantile(values, 0.3, 0.05, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failed := a.Metrics.Messages < int64(a.Metrics.Rounds)*n; failed != (c.fail != nil) {
+				t.Fatalf("%s Workers=%d: pulls failed = %t (%+v)", c.name, workers, failed, a.Metrics)
+			}
+			tr.ints(a.Outputs...)
+			tr.metrics(a.Metrics)
+			cfg.RoundObserver = nil
+			sum, err := BuildSummary(values, 0.1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := range sum.cuts {
+				tr.ints(sum.cuts[g]...)
+				tr.ints(sum.env[g]...)
+			}
+			tr.metrics(sum.Metrics)
+			x, err := ExactQuantile(values, 0.7, cfg)
+			if err != nil {
+				tr.Write([]byte(err.Error()))
+			}
+			tr.ints(x.Value)
+			tr.metrics(x.Metrics)
+			if got := tr.Sum64(); got != c.want {
+				t.Errorf("%s Workers=%d: transcript hash %#x, want %#x", c.name, workers, got, c.want)
+			}
 		}
 	}
 }

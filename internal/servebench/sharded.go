@@ -89,6 +89,9 @@ func RunSharded(o Options) (Result, error) {
 	queries := o.Clients * o.QueriesPerClient
 	name := fmt.Sprintf("serve/sharded-%s/n=%d/shards=%d/clients=%d",
 		o.Transport, o.N, o.Shards, o.Clients)
+	if o.Workers > 1 {
+		name += fmt.Sprintf("/workers=%d", o.Workers)
+	}
 	if o.GOMAXPROCS > 0 {
 		name += fmt.Sprintf("/gmp=%d", o.GOMAXPROCS)
 	}

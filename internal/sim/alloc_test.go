@@ -45,3 +45,28 @@ func TestParallelRoundAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPullRoundsAllocs pins the fused multi-round primitive's dispatch at
+// zero allocations on a 2-shard engine once its per-shard peer blocks exist:
+// the span is a func value built once, exactly as the tournament's bound
+// span methods are.
+func TestPullRoundsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 8192
+	e := New(n, 13, WithWorkers(2), WithFailures(UniformFailures(0.1)))
+	if len(e.bounds) != 3 {
+		t.Fatalf("n=%d workers=2 produced %d shards; want 2", n, len(e.bounds)-1)
+	}
+	next := make([]int32, n)
+	span := func(_, lo, hi int, peers []int32) {
+		copy(next[lo:hi], peers)
+	}
+	e.PullRounds(15, 64, span) // warm-up: gang and peer blocks at the largest k
+	for _, k := range []int{2, 3, 15} {
+		if got := testing.AllocsPerRun(20, func() { e.PullRounds(k, 64, span) }); got != 0 {
+			t.Errorf("PullRounds(k=%d) on a 2-shard engine: %.1f allocs, want 0", k, got)
+		}
+	}
+}

@@ -46,6 +46,13 @@ const maxSortShards = 8
 // writers never share a cache line.
 const cacheLineWords = 8
 
+// peerBlockNodes is the node count of one PullRounds block: a shard draws
+// the k rounds' peers for peerBlockNodes nodes at a time and hands them to
+// the caller's span function at once, so the block's RNG streams stay in L1
+// across its k sweeps and the span reads the peers back from L1. Block size
+// never affects transcripts.
+const peerBlockNodes = 256
+
 // Metrics is a snapshot of the engine's complexity accounting.
 type Metrics struct {
 	// Rounds is the number of synchronous gossip rounds executed.
@@ -119,6 +126,17 @@ type Engine struct {
 	pullShard func(s, lo, hi int)
 	seedShard func(s, lo, hi int)
 
+	// PullRounds state: the round count and caller span parked for the
+	// dispatch, the shard function that runs them, and per-shard scratch —
+	// a peer block of peerBlockNodes×k int32s and one success count per
+	// round, padded to whole cache lines. Both grow on first use and are
+	// then reused.
+	roundsK     int
+	roundsSpan  func(s, lo, hi int, peers []int32)
+	roundsShard func(s, lo, hi int)
+	peerBlocks  []int32
+	roundAcc    []int64
+
 	round    int
 	messages int64
 	bits     int64
@@ -170,6 +188,7 @@ func New(n int, seed uint64, opts ...Option) *Engine {
 	e.reshape(n)
 	e.pullShard = e.pullSpan
 	e.seedShard = e.seedSpan
+	e.roundsShard = e.pullRoundsSpan
 	e.runShards(e.bounds, e.seedShard)
 	return e
 }
@@ -321,8 +340,11 @@ func AlgorithmSourceAt(seed, tag uint64) xrand.Source {
 }
 
 // failed draws node v's failure coin for the current round from v's stream.
-func (e *Engine) failed(v int) bool {
-	p := e.fail.Prob(v, e.round)
+func (e *Engine) failed(v int) bool { return e.failedAt(v, e.round) }
+
+// failedAt draws node v's failure coin for the given round from v's stream.
+func (e *Engine) failedAt(v, round int) bool {
+	p := e.fail.Prob(v, round)
 	if p <= 0 {
 		// Keep per-node stream consumption independent of the failure
 		// model so transcripts with p=0 match NoFailures exactly: no draw.
@@ -355,47 +377,53 @@ func (e *Engine) seedSpan(_, lo, hi int) {
 
 // pullSpan runs one pull round over the senders in [lo, hi), writing peers
 // into the e.pullDst parameter slot and the shard's success count into
-// shardAcc. The peer draw is xrand's Lemire bounded draw inlined against the
-// precomputed (peerBound, peerThresh) — the xoshiro step then inlines into
-// the loop, which is worth ~2.5x on this RNG-bound pass; the consumed stream
-// is bit-for-bit the one Uint64n would consume.
+// shardAcc.
 func (e *Engine) pullSpan(s, lo, hi int) {
-	dst := e.pullDst
-	rngs := e.rngs
+	e.shardAcc[s*cacheLineWords] = e.drawPeers(e.pullDst[lo:hi], lo, e.round)
+}
+
+// drawPeers runs the pull round with the given index for the senders
+// lo, lo+1, ..., lo+len(dst)-1, writing sender lo+j's peer (or NoPeer) to
+// dst[j], and returns the number of successful pulls. The peer draw is
+// xrand's Lemire bounded draw inlined against the precomputed (peerBound,
+// peerThresh) — the xoshiro step then inlines into the loop, which is worth
+// ~2.5x on this RNG-bound pass; the consumed stream is bit-for-bit the one
+// Uint64n would consume.
+func (e *Engine) drawPeers(dst []int32, lo, round int) int64 {
+	rngs := e.rngs[lo : lo+len(dst)]
 	bound, thresh := e.peerBound, e.peerThresh
-	var ok int64
 	if e.noFail {
-		for v := lo; v < hi; v++ {
-			hi64, lo64 := bits.Mul64(rngs[v].Uint64(), bound)
+		for j := range rngs {
+			hi64, lo64 := bits.Mul64(rngs[j].Uint64(), bound)
 			if lo64 < thresh {
-				hi64 = peerRedraw(&rngs[v], bound, thresh)
+				hi64 = peerRedraw(&rngs[j], bound, thresh)
 			}
 			p := int32(hi64)
-			if p >= int32(v) {
+			if p >= int32(lo+j) {
 				p++
 			}
-			dst[v] = p
+			dst[j] = p
 		}
-		ok = int64(hi - lo)
-	} else {
-		for v := lo; v < hi; v++ {
-			if e.failed(v) {
-				dst[v] = NoPeer
-				continue
-			}
-			hi64, lo64 := bits.Mul64(rngs[v].Uint64(), bound)
-			if lo64 < thresh {
-				hi64 = peerRedraw(&rngs[v], bound, thresh)
-			}
-			p := int32(hi64)
-			if p >= int32(v) {
-				p++
-			}
-			dst[v] = p
-			ok++
-		}
+		return int64(len(dst))
 	}
-	e.shardAcc[s*cacheLineWords] = ok
+	var ok int64
+	for j := range rngs {
+		if e.failedAt(lo+j, round) {
+			dst[j] = NoPeer
+			continue
+		}
+		hi64, lo64 := bits.Mul64(rngs[j].Uint64(), bound)
+		if lo64 < thresh {
+			hi64 = peerRedraw(&rngs[j], bound, thresh)
+		}
+		p := int32(hi64)
+		if p >= int32(lo+j) {
+			p++
+		}
+		dst[j] = p
+		ok++
+	}
+	return ok
 }
 
 // Pull executes one synchronous round in which every node pulls from one
@@ -415,6 +443,75 @@ func (e *Engine) Pull(dst []int32, msgBits int) {
 		ok += e.shardAcc[s*cacheLineWords]
 	}
 	e.account(1, ok, msgBits)
+}
+
+// PullRounds runs k consecutive pull rounds and hands their peers to span,
+// shard by shard: each shard draws the peers of its nodes for all k rounds,
+// then calls span(s, lo, hi, peers) over consecutive blocks of its node
+// range, where peers[r*(hi-lo)+(v-lo)] is node v's round-r peer (NoPeer if
+// v failed that round). Because each shard finishes its span before the
+// next rounds start, a protocol iteration whose local step reads only the
+// values pulled this iteration runs as one gang dispatch instead of k Pull
+// dispatches followed by a serial per-node loop.
+//
+// The transcript is bit-for-bit that of k successive Pull calls: every node
+// consumes its stream in round order, and round r's failure coins are drawn
+// at round index Rounds()+r. Rounds, messages and observer events are
+// charged per round, in order, once the dispatch returns. span runs
+// concurrently across shards, so it may write only state owned by the nodes
+// in [lo, hi) (plus per-shard slots indexed by s); it must be a func value
+// built once (a bound method value), never a fresh closure, for the round
+// loop to stay allocation-free. peers is engine-owned and valid only during
+// the call.
+func (e *Engine) PullRounds(k, msgBits int, span func(s, lo, hi int, peers []int32)) {
+	if k <= 0 {
+		return
+	}
+	shards := len(e.bounds) - 1
+	if need := shards * peerBlockNodes * k; len(e.peerBlocks) < need {
+		e.peerBlocks = make([]int32, need)
+	}
+	stride := accStride(k)
+	if need := shards * stride; len(e.roundAcc) < need {
+		e.roundAcc = make([]int64, need)
+	}
+	e.roundsK, e.roundsSpan = k, span
+	e.runShards(e.bounds, e.roundsShard)
+	e.roundsSpan = nil
+	for r := 0; r < k; r++ {
+		var ok int64
+		for s := 0; s < shards; s++ {
+			ok += e.roundAcc[s*stride+r]
+		}
+		e.account(1, ok, msgBits)
+	}
+}
+
+// accStride is the roundAcc spacing between shards for k rounds: whole
+// cache lines, so concurrent shards never write the same line.
+func accStride(k int) int {
+	return (k + cacheLineWords - 1) / cacheLineWords * cacheLineWords
+}
+
+// pullRoundsSpan is PullRounds' shard function: block by block over
+// [lo, hi), it draws the block's peers round by round into the block's rows
+// (each node's draws in round order; the block's RNG streams stay in L1
+// across its k sweeps), then hands the block to the parked span function.
+// The shard's per-round success counts land in roundAcc.
+func (e *Engine) pullRoundsSpan(s, lo, hi int) {
+	k := e.roundsK
+	stride := accStride(k)
+	acc := e.roundAcc[s*stride : s*stride+k]
+	block := e.peerBlocks[s*peerBlockNodes*k : (s+1)*peerBlockNodes*k]
+	clear(acc)
+	for b := lo; b < hi; b += peerBlockNodes {
+		m := min(peerBlockNodes, hi-b)
+		peers := block[:k*m]
+		for r := range acc {
+			acc[r] += e.drawPeers(peers[r*m:(r+1)*m], b, e.round+r)
+		}
+		e.roundsSpan(s, b, b+m, peers)
+	}
 }
 
 // account charges rounds and sent messages of one payload size.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -470,5 +471,72 @@ func TestPushBatchOnDropUnderFailures(t *testing.T) {
 	frac := float64(dropped) / float64(2*n)
 	if math.Abs(frac-p) > 0.08 {
 		t.Errorf("drop fraction %.3f, want ~%.1f", frac, p)
+	}
+}
+
+// TestPullRoundsMatchesPull pins PullRounds to the transcript of k
+// successive Pull calls: the same peers, the same Metrics and the same
+// observer events, for every worker count, failure-free and under a failure
+// model whose probabilities depend on the round, so a fused round that drew
+// its coins at the wrong round index diverges. n is not a multiple of the
+// peer block size, so every shard ends in a short block, and the leading
+// single round offsets the fused rounds' base index from zero.
+func TestPullRoundsMatchesPull(t *testing.T) {
+	const n = 20000
+	roundDependent := FailureFunc(func(v, r int) float64 {
+		if (v+r)%3 == 0 {
+			return 0.4
+		}
+		return 0
+	})
+	models := []struct {
+		name string
+		fail FailureModel
+	}{{"none", NoFailures()}, {"round-dependent", roundDependent}}
+	for _, m := range models {
+		for _, k := range []int{1, 3, 40} {
+			for _, workers := range []int{1, 2, 4} {
+				name := fmt.Sprintf("failures=%s/k=%d/workers=%d", m.name, k, workers)
+				want, got := &recordingObserver{}, &recordingObserver{}
+				ref := New(n, 17, WithWorkers(workers), WithFailures(m.fail), WithObserver(want))
+				e := New(n, 17, WithWorkers(workers), WithFailures(m.fail), WithObserver(got))
+				dst := make([]int32, n)
+				ref.Pull(dst, 64)
+				e.Pull(dst, 64)
+				peers := make([][]int32, k)
+				for r := range peers {
+					ref.Pull(dst, 32)
+					peers[r] = append([]int32(nil), dst...)
+				}
+				seen := make([]int32, n)
+				e.PullRounds(k, 32, func(_, lo, hi int, block []int32) {
+					for i, p := range block {
+						v, r := lo+i%(hi-lo), i/(hi-lo)
+						if w := peers[r][v]; p != w {
+							t.Errorf("%s: node %d round %d peer %d, want %d", name, v, r, p, w)
+						}
+					}
+					for v := lo; v < hi; v++ {
+						seen[v]++
+					}
+				})
+				for v, c := range seen {
+					if c != 1 {
+						t.Fatalf("%s: node %d reached the span %d times, want 1", name, v, c)
+					}
+				}
+				if e.Metrics() != ref.Metrics() {
+					t.Errorf("%s: metrics %+v, want %+v", name, e.Metrics(), ref.Metrics())
+				}
+				if len(got.events) != len(want.events) {
+					t.Fatalf("%s: %d events, want %d", name, len(got.events), len(want.events))
+				}
+				for i := range want.events {
+					if got.events[i] != want.events[i] {
+						t.Errorf("%s: event %d = %+v, want %+v", name, i, got.events[i], want.events[i])
+					}
+				}
+			}
+		}
 	}
 }

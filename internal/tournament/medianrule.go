@@ -24,22 +24,13 @@ func MedianRule(e *sim.Engine, values []int64, iterations int, opt Options) []in
 	if iterations <= 0 {
 		iterations = sim.CeilLog2(n)
 	}
-	cur := make([]int64, n)
-	copy(cur, values)
-	next := make([]int64, n)
-	ws := sim.NewPullWorkspace(e)
-	dst1, dst2, dst3 := ws.Dst(0), ws.Dst(1), ws.Dst(2)
+	s := NewScratch(e)
+	s.load(values)
 	for i := 0; i < iterations; i++ {
-		ws.Pull(dst1, MessageBits)
-		ws.Pull(dst2, MessageBits)
-		ws.Pull(dst3, MessageBits)
-		for v := 0; v < n; v++ {
-			next[v] = median3Pulled(cur, v, dst1[v], dst2[v], dst3[v])
-		}
-		cur, next = next, cur
+		s.iterate(3, s.tournament3)
 		if opt.OnIteration != nil {
-			opt.OnIteration(2, i, cur)
+			opt.OnIteration(2, i, s.cur)
 		}
 	}
-	return cur
+	return s.cur
 }

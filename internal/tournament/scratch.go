@@ -43,12 +43,30 @@ type Scratch struct {
 	// into these arrays, so schedule construction never allocates even when
 	// operating points vary query to query.
 	planH, planD, planL []float64
+
+	// Parameter slots the span functions read during a PullRounds dispatch
+	// (the engine's gang dispatch publishes them to every shard): the
+	// current double-buffer halves and the running 2-TOURNAMENT iteration's
+	// δ, direction, index and coin source.
+	cur, next []int64
+	delta     float64
+	useMin    bool
+	iter      int
+	deltaSrc  xrand.Source
+
+	// Span functions, bound once here so an iteration dispatches without
+	// allocating.
+	tournament2, tournament3, sampleMedian func(sh, lo, hi int, peers []int32)
 }
 
 // NewScratch returns an empty scratch bound to e. Buffers are allocated
 // lazily, sized on first use.
 func NewScratch(e *sim.Engine) *Scratch {
-	return &Scratch{ws: sim.NewPullWorkspace(e)}
+	s := &Scratch{ws: sim.NewPullWorkspace(e)}
+	s.tournament2 = s.tournament2Span
+	s.tournament3 = s.tournament3Span
+	s.sampleMedian = s.sampleMedianSpan
+	return s
 }
 
 // Engine returns the engine the scratch is bound to.
@@ -109,6 +127,10 @@ func ensureRows(rows [][]int64, n int) [][]int64 {
 // drawn from the scratch; see the package-level ApproxQuantile for the
 // algorithm contract. The returned slice is scratch-owned: it is valid until
 // the next run on this scratch and must be copied to be retained.
+//
+// Every iteration is one sim.Engine.PullRounds dispatch: each engine shard
+// pulls its node span for the iteration's rounds and computes next for that
+// span, so the per-node work shards exactly as far as the pulls do.
 func (s *Scratch) ApproxQuantile(values []int64, phi, eps float64, opt Options) []int64 {
 	e := s.ws.Engine()
 	n := e.N()
@@ -116,51 +138,21 @@ func (s *Scratch) ApproxQuantile(values []int64, phi, eps float64, opt Options) 
 		panic(fmt.Sprintf("tournament: %d values for %d nodes", len(values), n))
 	}
 	eps = ClampEps(eps)
-
-	s.bufA = ensureInt64(s.bufA, n)
-	s.bufB = ensureInt64(s.bufB, n)
-	cur, next := s.bufA, s.bufB
-	copy(cur, values)
-	dst1, dst2, dst3 := s.ws.Dst(0), s.ws.Dst(1), s.ws.Dst(2)
+	s.load(values)
 
 	// Phase I: 2-TOURNAMENT (Algorithm 1). Skipped entirely when the target
 	// is already the median (φ = 1/2 gives zero iterations).
 	e.SetPhase("tournament2")
 	plan2 := s.plan2(phi, eps)
-	deltaSrc := e.AlgorithmSource(deltaTag)
-	var deltaRNG xrand.RNG
+	s.deltaSrc, s.useMin = e.AlgorithmSource(deltaTag), plan2.UseMin
 	for i := 0; i < plan2.Iterations(); i++ {
-		s.ws.Pull(dst1, MessageBits)
-		s.ws.Pull(dst2, MessageBits)
-		delta := plan2.Deltas[i]
+		s.iter, s.delta = i, plan2.Deltas[i]
 		if opt.DisableTruncation {
-			delta = 1
+			s.delta = 1
 		}
-		for v := 0; v < n; v++ {
-			p1, p2 := dst1[v], dst2[v]
-			doTournament := delta >= 1
-			if !doTournament {
-				deltaSrc.SeedInto(&deltaRNG, uint64(v)<<20|uint64(i))
-				doTournament = deltaRNG.Bool(delta)
-			}
-			switch {
-			case p1 == sim.NoPeer && p2 == sim.NoPeer:
-				next[v] = cur[v] // both pulls failed; keep value
-			case !doTournament || p2 == sim.NoPeer:
-				// δ-branch line 10-11: adopt one sampled value.
-				if p1 == sim.NoPeer {
-					p1 = p2
-				}
-				next[v] = cur[p1]
-			case p1 == sim.NoPeer:
-				next[v] = cur[p2]
-			default:
-				next[v] = pick2(cur[p1], cur[p2], plan2.UseMin)
-			}
-		}
-		cur, next = next, cur
+		s.iterate(2, s.tournament2)
 		if opt.OnIteration != nil {
-			opt.OnIteration(1, i, cur)
+			opt.OnIteration(1, i, s.cur)
 		}
 	}
 
@@ -168,50 +160,102 @@ func (s *Scratch) ApproxQuantile(values []int64, phi, eps float64, opt Options) 
 	e.SetPhase("tournament3")
 	plan3 := s.plan3(eps/4, n)
 	for i := 0; i < plan3.Iterations(); i++ {
-		s.ws.Pull(dst1, MessageBits)
-		s.ws.Pull(dst2, MessageBits)
-		s.ws.Pull(dst3, MessageBits)
-		for v := 0; v < n; v++ {
-			next[v] = median3Pulled(cur, v, dst1[v], dst2[v], dst3[v])
-		}
-		cur, next = next, cur
+		s.iterate(3, s.tournament3)
 		if opt.OnIteration != nil {
-			opt.OnIteration(2, i, cur)
+			opt.OnIteration(2, i, s.cur)
 		}
 	}
 
 	// Final step: every node samples K values and outputs their median.
 	e.SetPhase("sample")
-	return s.sampleMedian(cur, opt.k())
-}
-
-// sampleMedian performs Algorithm 2's final step on the scratch's flat
-// sample matrix: k pull rounds per node, output the median of the pulled
-// values (own value fills in for failed pulls, so every node outputs
-// something even under failures).
-func (s *Scratch) sampleMedian(cur []int64, k int) []int64 {
-	n := s.ws.Engine().N()
+	k := opt.k()
 	if cap(s.samples) < n*k {
 		s.samples = make([]int64, n*k)
 	}
-	samples := s.samples[:n*k]
-	dst := s.ws.Dst(0)
-	for r := 0; r < k; r++ {
-		s.ws.Pull(dst, MessageBits)
-		for v := 0; v < n; v++ {
-			if p := dst[v]; p != sim.NoPeer {
-				samples[v*k+r] = cur[p]
-			} else {
-				samples[v*k+r] = cur[v]
+	s.samples = s.samples[:n*k]
+	s.out = ensureInt64(s.out, n)
+	e.PullRounds(k, MessageBits, s.sampleMedian)
+	return s.out
+}
+
+// load copies values into the cur buffer of the scratch's double buffer.
+func (s *Scratch) load(values []int64) {
+	n := s.ws.Engine().N()
+	s.bufA = ensureInt64(s.bufA, n)
+	s.bufB = ensureInt64(s.bufB, n)
+	s.cur, s.next = s.bufA, s.bufB
+	copy(s.cur, values)
+}
+
+// iterate runs one tournament iteration: k pull rounds fused with the span
+// function that turns their peers into next, then the buffer swap.
+func (s *Scratch) iterate(k int, span func(sh, lo, hi int, peers []int32)) {
+	s.ws.Engine().PullRounds(k, MessageBits, span)
+	s.cur, s.next = s.next, s.cur
+}
+
+// tournament2Span is one 2-TOURNAMENT step (Algorithm 1) for the nodes in
+// [lo, hi), given their two pulls per node. The δ coin is seeded per
+// (node, iteration), so it is drawn identically on any shard.
+func (s *Scratch) tournament2Span(_, lo, hi int, peers []int32) {
+	cur, next := s.cur, s.next
+	delta, useMin := s.delta, s.useMin
+	var coin xrand.RNG
+	m := hi - lo
+	for v := lo; v < hi; v++ {
+		p1, p2 := peers[v-lo], peers[m+v-lo]
+		doTournament := delta >= 1
+		if !doTournament {
+			s.deltaSrc.SeedInto(&coin, uint64(v)<<20|uint64(s.iter))
+			doTournament = coin.Bool(delta)
+		}
+		switch {
+		case p1 == sim.NoPeer && p2 == sim.NoPeer:
+			next[v] = cur[v] // both pulls failed; keep value
+		case !doTournament || p2 == sim.NoPeer:
+			// δ-branch line 10-11: adopt one sampled value.
+			if p1 == sim.NoPeer {
+				p1 = p2
 			}
+			next[v] = cur[p1]
+		case p1 == sim.NoPeer:
+			next[v] = cur[p2]
+		default:
+			next[v] = pick2(cur[p1], cur[p2], useMin)
 		}
 	}
-	s.out = ensureInt64(s.out, n)
-	out := s.out
-	for v := 0; v < n; v++ {
-		out[v] = medianOf(samples[v*k : (v+1)*k])
+}
+
+// tournament3Span is one 3-TOURNAMENT step (Algorithm 2, and MedianRule's
+// median dynamic) for the nodes in [lo, hi), given their three pulls.
+func (s *Scratch) tournament3Span(_, lo, hi int, peers []int32) {
+	cur, next := s.cur, s.next
+	m := hi - lo
+	for v := lo; v < hi; v++ {
+		i := v - lo
+		next[v] = median3Pulled(cur, v, peers[i], peers[m+i], peers[2*m+i])
 	}
-	return out
+}
+
+// sampleMedianSpan performs Algorithm 2's final step for the nodes in
+// [lo, hi): their k pulled values go straight into their rows of the flat
+// sample matrix (own value fills in for failed pulls, so every node outputs
+// something even under failures), and each node outputs its row's median.
+func (s *Scratch) sampleMedianSpan(_, lo, hi int, peers []int32) {
+	cur, out := s.cur, s.out
+	m := hi - lo
+	k := len(peers) / m
+	for v := lo; v < hi; v++ {
+		row := s.samples[v*k : (v+1)*k]
+		for r := range row {
+			p := peers[r*m+v-lo]
+			if p == sim.NoPeer {
+				p = int32(v)
+			}
+			row[r] = cur[p]
+		}
+		out[v] = medianOf(row)
+	}
 }
 
 // RobustApproxQuantile runs the §5.1 failure-tolerant variant with every

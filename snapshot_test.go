@@ -180,8 +180,10 @@ func TestSnapshotReadAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
+	// Workers: 2 splits n = 4096 into two engine shards, so the refresh pin
+	// covers the sharded tournament iterations on any machine.
 	values := dist.Generate(dist.Uniform, 4096, 57)
-	s, err := gossipq.NewSession(values, gossipq.Config{Seed: 59})
+	s, err := gossipq.NewSession(values, gossipq.Config{Seed: 59, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
