@@ -371,7 +371,7 @@ func abs(x float64) float64 {
 
 // BenchmarkGridBuild measures the protocol layer of a snapshot refresh: one
 // buildSummaryInto grid build (every grid point's ApproxQuantile, keeping
-// one row as Session.rebuildLocked does) at ε = 0.05, on one engine worker
+// one row as Session.build does) at ε = 0.05, on one engine worker
 // and on every CPU. The num_cpu metric records the box the row came from;
 // the two worker counts coincide on a one-CPU box, which then runs one row.
 func BenchmarkGridBuild(b *testing.B) {

@@ -111,51 +111,3 @@ func shardCmd(args []string) int {
 	slog.Info("bye")
 	return 0
 }
-
-// quantileBackend is the session surface the HTTP layer serves: both the
-// single-process gossipq.Session and the distributed gossipq.ShardedSession
-// satisfy it, which is what lets `gossipq serve` swap the engine under the
-// same endpoints with -shards.
-type quantileBackend interface {
-	Ask(gossipq.Query) (gossipq.Answer, error)
-	Batch([]gossipq.Query) ([]gossipq.Answer, error)
-	Mutate([]gossipq.Mutation) (uint64, error)
-	N() int
-	Generation() uint64
-	Snapshot() (gossipq.SnapshotInfo, bool)
-	Refresh(float64) (gossipq.SnapshotInfo, error)
-	StartRefresher(float64, time.Duration) (gossipq.SnapshotInfo, error)
-	Close() error
-}
-
-var (
-	_ quantileBackend = (*gossipq.Session)(nil)
-	_ quantileBackend = (*gossipq.ShardedSession)(nil)
-)
-
-// verifier abstracts the -check oracle over the two backends (their Verify
-// signatures differ: the sharded oracle can fail when no mirror is enabled).
-type verifier interface {
-	verifyApprox(x int64, phi, eps float64) bool
-	verifyExact(x int64, phi float64) bool
-}
-
-type sessionVerifier struct{ s *gossipq.Session }
-
-func (v sessionVerifier) verifyApprox(x int64, phi, eps float64) bool {
-	return v.s.Verify(x, phi, eps)
-}
-func (v sessionVerifier) verifyExact(x int64, phi float64) bool {
-	return x == v.s.OracleQuantile(phi)
-}
-
-type shardedVerifier struct{ ss *gossipq.ShardedSession }
-
-func (v shardedVerifier) verifyApprox(x int64, phi, eps float64) bool {
-	ok, err := v.ss.Verify(x, phi, eps)
-	return err == nil && ok
-}
-func (v shardedVerifier) verifyExact(x int64, phi float64) bool {
-	want, err := v.ss.OracleQuantile(phi)
-	return err == nil && x == want
-}

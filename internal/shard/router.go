@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossipq/internal/livenet"
@@ -44,9 +45,11 @@ type Router struct {
 	bar     *Barrier
 	addrs   []string
 
-	mu     sync.Mutex
-	epoch  int32
-	epochs uint64
+	mu    sync.Mutex
+	epoch int32
+	// epochs counts completed gathers; atomic so Stats never waits on a
+	// gather holding mu.
+	epochs atomic.Uint64
 }
 
 // NewRouter builds a router for shards workers over tr. timeout bounds how
@@ -152,7 +155,7 @@ func (r *Router) Gather(eps float64, dirty []bool, out []ShardSummary) ([]ShardS
 	if firstErr != nil {
 		return out, firstErr
 	}
-	r.epochs++
+	r.epochs.Add(1)
 	for i := 0; i < r.shards; i++ {
 		if dirty[i] {
 			out = append(out, got[i])
@@ -195,9 +198,7 @@ func (r *Router) Ping(shard int) (Health, error) {
 
 // Stats reports the cross-shard round accounting.
 func (r *Router) Stats() RouterStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RouterStats{Epochs: r.epochs, HopsPerEpoch: 2}
+	return RouterStats{Epochs: r.epochs.Load(), HopsPerEpoch: 2}
 }
 
 // nextEpoch assigns a request id; callers hold r.mu.

@@ -84,19 +84,13 @@ type Session struct {
 
 	pool sync.Pool // *queryRig
 
-	// Snapshot serving tier (snapshot.go): the current versioned ε-summary
-	// behind lock-free reads, plus the refresh/refresher lifecycle. snapMu
-	// serializes refreshes and guards the refresh counter, the closed flag,
-	// and the refresher channels.
-	snap          atomic.Pointer[snapshot]
-	snapMu        sync.Mutex
-	refreshes     uint64
-	closed        bool
-	stopRefresher chan struct{}
-	refresherDone chan struct{}
+	// publisher is the snapshot serving tier (snapshot.go): the current
+	// versioned ε-summary behind lock-free reads, the refresh/refresher
+	// lifecycle, and the snapshot counters.
+	publisher
 
 	// qstats is the session's own telemetry: plain atomic counters bumped on
-	// the query and refresh paths, exported as a consistent-enough snapshot
+	// the query and mutation paths, exported as a consistent-enough snapshot
 	// by Stats. Keeping them session-owned (rather than telemetry.Registry
 	// series) means the serving layer exports them via scrape-time collector
 	// functions and the record path stays a single atomic add.
@@ -107,16 +101,11 @@ type Session struct {
 // increment is one atomic add: no locks, no allocations, so the pooled-rig
 // zero-alloc steady state is unaffected.
 type sessionStats struct {
-	liveQueries       atomic.Int64
-	exactQueries      atomic.Int64
-	snapshotQueries   atomic.Int64
-	snapshotFallbacks atomic.Int64
-	refreshBuildNanos atomic.Int64
-	lastRefreshNanos  atomic.Int64
-	inserts           atomic.Int64
-	deletes           atomic.Int64
-	updates           atomic.Int64
-	refreshesSkipped  atomic.Int64
+	liveQueries  atomic.Int64
+	exactQueries atomic.Int64
+	inserts      atomic.Int64
+	deletes      atomic.Int64
+	updates      atomic.Int64
 }
 
 // SessionStats is a point-in-time reading of a session's query and snapshot
@@ -157,24 +146,22 @@ type SessionStats struct {
 
 // Stats returns the session's instrumentation counters. Counters are read
 // individually (not as one consistent cut), which is fine for the telemetry
-// scrapes and health endpoints this feeds.
+// scrapes and health endpoints this feeds; no read waits on a running
+// rebuild.
 func (s *Session) Stats() SessionStats {
-	s.snapMu.Lock()
-	refreshes := s.refreshes
-	s.snapMu.Unlock()
 	return SessionStats{
 		LiveQueries:       s.qstats.liveQueries.Load(),
 		ExactQueries:      s.qstats.exactQueries.Load(),
-		SnapshotQueries:   s.qstats.snapshotQueries.Load(),
-		SnapshotFallbacks: s.qstats.snapshotFallbacks.Load(),
-		Refreshes:         refreshes,
-		RefreshBuildTotal: time.Duration(s.qstats.refreshBuildNanos.Load()),
-		LastRefreshBuild:  time.Duration(s.qstats.lastRefreshNanos.Load()),
+		SnapshotQueries:   s.answered.Load(),
+		SnapshotFallbacks: s.missed.Load(),
+		Refreshes:         s.refreshes.Load(),
+		RefreshBuildTotal: time.Duration(s.buildNanos.Load()),
+		LastRefreshBuild:  time.Duration(s.lastBuildNanos.Load()),
 		Inserts:           s.qstats.inserts.Load(),
 		Deletes:           s.qstats.deletes.Load(),
 		Updates:           s.qstats.updates.Load(),
 		Generation:        s.generation.Load(),
-		RefreshesSkipped:  s.qstats.refreshesSkipped.Load(),
+		RefreshesSkipped:  s.skipped.Load(),
 	}
 }
 
@@ -274,13 +261,15 @@ func newOneShot(values []int64, cfg Config) *Session {
 }
 
 func newSession(values []int64, cfg Config, rawSeed bool) *Session {
-	return &Session{
+	s := &Session{
 		cfg:     cfg,
 		values:  values,
 		n:       len(values),
 		rawSeed: rawSeed,
 		seeds:   xrand.NewSource(cfg.Seed).Sub(querySeedTag),
 	}
+	s.src = s
+	return s
 }
 
 // N returns the current population size.

@@ -16,8 +16,8 @@ import (
 // (internal/shard): ShardedSession partitions one logical population across
 // S shard workers, each running the full gossip quantile protocol locally on
 // its slice, and publishes one merged ε-summary for the whole population
-// through the same snapshot type and read path the single-process Session
-// uses. The cross-shard cost per refresh is constant — one broadcast hop,
+// through the same snapshot publisher (snapshot.go) the single-process
+// Session uses. The cross-shard cost per refresh is constant — one broadcast hop,
 // one gather hop (Router.Gather) — whatever the population size or shard
 // count; the merge itself is local arithmetic (mergeSummaries). Shard
 // summaries are built at width ε/2 and merged at ε, which keeps the merged
@@ -44,15 +44,6 @@ var (
 	errShardedNoCheck  = errors.New("gossipq: check mirror not enabled on this sharded session")
 	errShardTooSmall   = errors.New("gossipq: every shard needs at least 2 values")
 )
-
-// shardedStats holds ShardedSession's atomic instrumentation.
-type shardedStats struct {
-	snapshotQueries   atomic.Int64
-	queryRefreshes    atomic.Int64
-	refreshBuildNanos atomic.Int64
-	lastRefreshNanos  atomic.Int64
-	refreshesSkipped  atomic.Int64
-}
 
 // ShardedStats is a point-in-time reading of a sharded session's
 // instrumentation (ShardedSession.Stats).
@@ -91,18 +82,22 @@ type ShardedStats struct {
 // tracked per shard, so a refresh repairs only the shards whose accumulated
 // drift threatens the εn bound (the dirty-shard repair).
 //
-// Queries (Ask, Batch) and Snapshot are safe for arbitrary goroutine
-// concurrency. Refresh and Mutate serialize on the session.
+// Queries (Ask, Batch), Snapshot, N, and Stats are safe for arbitrary
+// goroutine concurrency; Snapshot, N, and Stats never wait on a refresh.
+// Refresh and Mutate serialize on the session.
 type ShardedSession struct {
 	cfg    Config
 	shards int
 	router *shard.Router
 
+	// publisher is the merged-snapshot tier shared with Session
+	// (snapshot.go). Its refresh lock is taken before mu, never after.
+	publisher
+
 	// mu guards the shard bookkeeping (cache, sizes, generations, drift
-	// counters), refresh/mutate serialization, and the lifecycle flags.
-	mu        sync.Mutex
-	closed    bool
-	refreshes uint64
+	// counters) and serializes Mutate against the refresh build that reads
+	// it.
+	mu sync.Mutex
 	// lastEps is the width the cache was gathered for (shard width
 	// lastEps/2); a Refresh at a different width forces every shard dirty.
 	lastEps float64
@@ -121,15 +116,12 @@ type ShardedSession struct {
 	sizes    []int
 
 	// totalOps and generation mirror Session's drift accounting, atomic so
-	// the lock-free query path can stamp staleness without taking mu.
+	// the lock-free query path can stamp staleness without taking mu. size
+	// is the sum of shardN, stored whenever mu's holder changes it, so N
+	// never waits on a gather.
 	totalOps   atomic.Uint64
 	generation atomic.Uint64
-
-	snap   atomic.Pointer[snapshot]
-	sstats shardedStats
-
-	stopRefresher chan struct{}
-	refresherDone chan struct{}
+	size       atomic.Int64
 
 	// check mirror (EnableCheck): per-shard value slices maintained under mu
 	// by the same routing the real mutations take, plus a lazily built
@@ -241,6 +233,7 @@ func NewShardedSession(values []int64, shards int, cfg Config) (*ShardedSession,
 		}
 		ss.sessions[i] = sess
 		ss.shardN[i] = hi - lo
+		ss.size.Add(int64(hi - lo))
 		w := shard.NewWorker(i, tr, NewSessionBackend(sess), bar)
 		ss.workers.Add(1)
 		go func() {
@@ -270,7 +263,7 @@ func NewShardedClient(tr livenet.Transport, shards int, addrs []string, timeout 
 }
 
 func newSharded(shards int, cfg Config) *ShardedSession {
-	return &ShardedSession{
+	ss := &ShardedSession{
 		cfg:      cfg,
 		shards:   shards,
 		cache:    make([]*Summary, shards),
@@ -281,6 +274,8 @@ func newSharded(shards int, cfg Config) *ShardedSession {
 		batches:  make([][]shard.Op, shards),
 		sizes:    make([]int, shards),
 	}
+	ss.src = ss
+	return ss
 }
 
 // Shards returns the worker count S.
@@ -289,14 +284,15 @@ func (ss *ShardedSession) Shards() int { return ss.shards }
 // N returns the total population size as currently known — the sum of
 // per-shard sizes, updated by refreshes and mutation acks. In client mode it
 // is zero until the first refresh contacts the shards.
-func (ss *ShardedSession) N() int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
+func (ss *ShardedSession) N() int { return int(ss.size.Load()) }
+
+// storeSize republishes the sum of shardN for N; callers hold mu.
+func (ss *ShardedSession) storeSize() {
 	n := 0
 	for _, k := range ss.shardN {
 		n += k
 	}
-	return n
+	ss.size.Store(int64(n))
 }
 
 // Generation returns the sharded population generation: zero at
@@ -307,30 +303,12 @@ func (ss *ShardedSession) Generation() uint64 { return ss.generation.Load() }
 // through this session — the accumulated drift unit.
 func (ss *ShardedSession) MutationOps() uint64 { return ss.totalOps.Load() }
 
-// Refresh publishes a merged ε-summary of the whole sharded population, but
-// only rebuilds what drift demands — the two-level repair policy. Shard i is
-// dirty when it has no cached summary at this width or the mutation ops
-// routed to it since its last build reach its own drift budget
-// (driftBudget(ε/2, n_i) — summaries are built at half width, so each shard
-// tolerates ≈ε/4·n_i ops); clean shards are not contacted and their cached
-// summaries merge as-is. When no shard is dirty and a merged snapshot at
-// this width stands, Refresh is a no-op returning its metadata. One refresh
-// epoch costs a constant two cross-shard hops however many shards rebuild.
-//
-// Rebuilds are deterministic: shard i's b-th build runs on an engine seeded
-// from (shard.SeedFor(seed, i), b), and the merge is input-order
-// insensitive, so equal configurations publish bit-identical merged
-// summaries across gang and process deployments.
-func (ss *ShardedSession) Refresh(eps float64) (SnapshotInfo, error) {
-	if err := validSummaryEps(eps); err != nil {
-		return SnapshotInfo{}, err
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return SnapshotInfo{}, errSessionClosed
-	}
-	force := ss.lastEps != eps
+// markDirtyLocked fills ss.dirty for a refresh at width eps — every shard
+// when force is set or the width changed, otherwise the shards with no
+// cached summary or with drift at their budget — and returns how many are
+// dirty; callers hold mu.
+func (ss *ShardedSession) markDirtyLocked(eps float64, force bool) int {
+	force = force || ss.lastEps != eps
 	need := 0
 	for i := range ss.dirty {
 		ss.dirty[i] = force || ss.cache[i] == nil ||
@@ -339,131 +317,48 @@ func (ss *ShardedSession) Refresh(eps float64) (SnapshotInfo, error) {
 			need++
 		}
 	}
-	if need == 0 {
-		if p := ss.snap.Load(); p != nil && p.sum.eps == eps {
-			ss.sstats.refreshesSkipped.Add(1)
-			return p.info(ss.totalOps.Load()), nil
-		}
-		// Cache is clean but nothing is published (first refresh after a
-		// client restart): merge the cache without contacting anyone.
-	}
-	return ss.rebuildLocked(eps, need)
+	return need
 }
 
-// ForceRefresh rebuilds every shard and publishes a fresh merged summary
-// unconditionally, bypassing both repair gates.
-func (ss *ShardedSession) ForceRefresh(eps float64) (SnapshotInfo, error) {
-	if err := validSummaryEps(eps); err != nil {
-		return SnapshotInfo{}, err
-	}
+// stale is the sharded repair gate: the standing merged snapshot must be
+// rebuilt once any shard is dirty.
+func (ss *ShardedSession) stale(eps float64, _ *snapshot) bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed {
-		return SnapshotInfo{}, errSessionClosed
-	}
-	for i := range ss.dirty {
-		ss.dirty[i] = true
-	}
-	return ss.rebuildLocked(eps, ss.shards)
+	return ss.markDirtyLocked(eps, false) > 0
 }
 
-// rebuildLocked gathers the dirty shards' summaries at width eps/2, merges
-// all S at width eps, and publishes the result; the caller holds mu and has
-// filled ss.dirty (need = number of dirty shards).
-func (ss *ShardedSession) rebuildLocked(eps float64, need int) (SnapshotInfo, error) {
-	start := time.Now()
-	if need > 0 {
+// build gathers the dirty shards' summaries at width eps/2 and merges all S
+// at width eps. With no shard dirty (a clean cache but nothing published at
+// this width, e.g. the first refresh after a client restart) it merges the
+// cache without contacting anyone.
+func (ss *ShardedSession) build(eps float64, force bool, _ uint64) (*snapshot, error) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.markDirtyLocked(eps, force) > 0 {
 		got, err := ss.router.Gather(eps/2, ss.dirty, ss.gathered[:0])
 		if err != nil {
-			return SnapshotInfo{}, err
+			return nil, err
 		}
 		ss.gathered = got[:0]
 		for _, g := range got {
 			sum, err := NewSummaryFromCuts(g.Eps, g.N, g.Cuts)
 			if err != nil {
-				return SnapshotInfo{}, fmt.Errorf("gossipq: shard %d summary: %w", g.Shard, err)
+				return nil, fmt.Errorf("gossipq: shard %d summary: %w", g.Shard, err)
 			}
 			ss.cache[g.Shard] = sum
 			ss.gens[g.Shard] = g.Gen
 			ss.shardN[g.Shard] = g.N
 			ss.opsSince[g.Shard] = 0
 		}
+		ss.storeSize()
 	}
 	merged := mergeSummaries(ss.cache, eps)
-	buildNanos := time.Since(start).Nanoseconds()
-	ss.sstats.refreshBuildNanos.Add(buildNanos)
-	ss.sstats.lastRefreshNanos.Store(buildNanos)
 	ss.lastEps = eps
-	ss.refreshes++
-	sn := &snapshot{
-		sum: merged, version: ss.refreshes, builtAt: time.Now(),
-		gen: ss.generation.Load(), ops: ss.totalOps.Load(), n: merged.n,
-		budget: driftBudget(eps, merged.n),
-	}
-	ss.snap.Store(sn)
-	return sn.info(sn.ops), nil
-}
-
-// StartRefresher publishes an initial merged snapshot at width eps
-// synchronously, then — for ttl > 0 — runs the drift-gated Refresh every ttl
-// until Close, exactly like Session.StartRefresher: an unmutated deployment
-// pays no periodic gather.
-func (ss *ShardedSession) StartRefresher(eps float64, ttl time.Duration) (SnapshotInfo, error) {
-	info, err := ss.Refresh(eps)
-	if err != nil {
-		return info, err
-	}
-	if ttl <= 0 {
-		return info, nil
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return info, errSessionClosed
-	}
-	if ss.stopRefresher != nil {
-		return info, errRefresherActive
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	ss.stopRefresher, ss.refresherDone = stop, done
-	go func() {
-		defer close(done)
-		t := time.NewTicker(ttl)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if _, err := ss.Refresh(eps); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	return info, nil
-}
-
-// Snapshot reports the published merged snapshot's metadata, if any,
-// including its current drift against the sharded population.
-func (ss *ShardedSession) Snapshot() (SnapshotInfo, bool) {
-	p := ss.snap.Load()
-	if p == nil {
-		return SnapshotInfo{}, false
-	}
-	return p.info(ss.totalOps.Load()), true
-}
-
-// snapAnswer serves q from the merged snapshot when it covers the requested
-// width and its drift stays within budget (see snapshot.answer).
-func (ss *ShardedSession) snapAnswer(q Query) (Answer, bool) {
-	p := ss.snap.Load()
-	ans, ok := p.answer(q, ss.totalOps.Load())
-	if ok {
-		ss.sstats.snapshotQueries.Add(1)
-	}
-	return ans, ok
+	return &snapshot{
+		sum: merged, gen: ss.generation.Load(), ops: ss.totalOps.Load(),
+		n: merged.n, budget: driftBudget(eps, merged.n),
+	}, nil
 }
 
 // Ask answers one approximate query from the merged summary. When the
@@ -478,14 +373,15 @@ func (ss *ShardedSession) Ask(q Query) (Answer, error) {
 	if err := validateShardedQuery(q); err != nil {
 		return Answer{}, err
 	}
-	if ans, ok := ss.snapAnswer(q); ok {
+	// A miss here is what ShardedStats.QueryRefreshes counts.
+	if ans, ok := ss.answer(q); ok {
 		return ans, nil
 	}
-	ss.sstats.queryRefreshes.Add(1)
 	if _, err := ss.Refresh(q.Eps); err != nil {
 		return Answer{}, err
 	}
-	if ans, ok := ss.snapAnswer(q); ok {
+	if ans, ok := ss.snap.Load().answer(q, ss.totalOps.Load()); ok {
+		ss.answered.Add(1)
 		return ans, nil
 	}
 	// Unreachable in practice: a successful Refresh at q.Eps publishes a
@@ -561,7 +457,8 @@ func locate(sizes []int, g int) (int, int, error) {
 func (ss *ShardedSession) Mutate(muts []Mutation) (uint64, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed {
+	defer ss.storeSize()
+	if ss.closed.Load() {
 		return ss.generation.Load(), errSessionClosed
 	}
 	if len(muts) == 0 {
@@ -734,7 +631,7 @@ func (ss *ShardedSession) OracleQuantile(phi float64) (int64, error) {
 func (ss *ShardedSession) Health() ([]shard.Health, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed {
+	if ss.closed.Load() {
 		return nil, errSessionClosed
 	}
 	out := make([]shard.Health, ss.shards)
@@ -756,24 +653,22 @@ func (ss *ShardedSession) Generations() []uint64 {
 	return append([]uint64(nil), ss.gens...)
 }
 
-// Stats returns the sharded session's instrumentation counters.
+// Stats returns the sharded session's instrumentation counters; no read
+// waits on a running gather.
 func (ss *ShardedSession) Stats() ShardedStats {
-	ss.mu.Lock()
-	refreshes := ss.refreshes
-	ss.mu.Unlock()
 	rst := ss.router.Stats()
 	return ShardedStats{
 		Shards:            ss.shards,
-		SnapshotQueries:   ss.sstats.snapshotQueries.Load(),
-		QueryRefreshes:    ss.sstats.queryRefreshes.Load(),
-		Refreshes:         refreshes,
-		RefreshesSkipped:  ss.sstats.refreshesSkipped.Load(),
+		SnapshotQueries:   ss.answered.Load(),
+		QueryRefreshes:    ss.missed.Load(),
+		Refreshes:         ss.refreshes.Load(),
+		RefreshesSkipped:  ss.skipped.Load(),
 		Epochs:            rst.Epochs,
 		HopsPerEpoch:      rst.HopsPerEpoch,
 		Generation:        ss.generation.Load(),
 		MutationOps:       ss.totalOps.Load(),
-		RefreshBuildTotal: time.Duration(ss.sstats.refreshBuildNanos.Load()),
-		LastRefreshBuild:  time.Duration(ss.sstats.lastRefreshNanos.Load()),
+		RefreshBuildTotal: time.Duration(ss.buildNanos.Load()),
+		LastRefreshBuild:  time.Duration(ss.lastBuildNanos.Load()),
 	}
 }
 
@@ -782,22 +677,16 @@ func (ss *ShardedSession) Stats() ShardedStats {
 // closed. Published snapshots keep serving queries; refreshes and mutations
 // fail. Close is idempotent.
 func (ss *ShardedSession) Close() error {
-	ss.mu.Lock()
-	stop, done := ss.stopRefresher, ss.refresherDone
-	ss.stopRefresher, ss.refresherDone = nil, nil
-	already := ss.closed
-	ss.closed = true
-	ss.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	if already {
+	if !ss.shutdown() {
 		return nil
 	}
+	// Mutate and Health check closed under mu: taking it here lets an
+	// in-flight call finish before the transport goes.
+	ss.mu.Lock()
 	if ss.tr != nil {
 		ss.tr.Close()
 	}
+	ss.mu.Unlock()
 	ss.workers.Wait()
 	for _, s := range ss.sessions {
 		s.Close()

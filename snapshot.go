@@ -2,6 +2,8 @@ package gossipq
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossipq/internal/xrand"
@@ -79,7 +81,7 @@ func (i SnapshotInfo) Age() time.Duration { return time.Since(i.BuiltAt) }
 
 // snapshot is one published generation: the immutable summary (node 0's
 // row only — the one row reads answer from) plus build metadata. Session
-// and ShardedSession each publish generations through an
+// and ShardedSession each publish generations through their publisher's
 // atomic.Pointer[snapshot]: publish is one Store, every read one Load, and
 // a retired generation is reclaimed by the GC once its last reader is done.
 type snapshot struct {
@@ -130,14 +132,73 @@ func driftBudget(eps float64, n int) uint64 {
 	return uint64(b)
 }
 
+// publisher is the snapshot-publishing machinery both session shapes share:
+// the published generation behind an atomic pointer, the drift-gated and
+// forced refresh, the TTL refresher and its shutdown, and the counters a
+// serving layer scrapes. Session and ShardedSession embed one each, so its
+// exported methods are theirs; what differs between the two — when a
+// standing snapshot is stale and how a new one is built — comes from the
+// embedding type through src.
+//
+// Lock order: refreshMu before any lock src takes in stale or build. Nothing
+// on the read or stats path takes refreshMu, so neither waits on a rebuild.
+type publisher struct {
+	src  snapshotSource
+	snap atomic.Pointer[snapshot]
+
+	// refreshMu serializes refreshes and guards the refresher channels.
+	// closed is written under it and read lock-free.
+	refreshMu     sync.Mutex
+	closed        atomic.Bool
+	stopRefresher chan struct{}
+	refresherDone chan struct{}
+
+	// refreshes counts published builds; it is written under refreshMu and
+	// read lock-free. answered and missed count snapshot reads served and
+	// not served, skipped counts gated refreshes served by the standing
+	// snapshot, and buildNanos/lastBuildNanos meter build wall-clock. Each
+	// record is one atomic add: no locks, no allocations.
+	refreshes      atomic.Uint64
+	answered       atomic.Int64
+	missed         atomic.Int64
+	skipped        atomic.Int64
+	buildNanos     atomic.Int64
+	lastBuildNanos atomic.Int64
+}
+
+// snapshotSource is what a session shape supplies to its publisher.
+type snapshotSource interface {
+	// MutationOps is the mutation-op count snapshot drift is measured from.
+	MutationOps() uint64
+	// stale reports whether cur, the standing snapshot at width eps, must be
+	// rebuilt by a drift-gated refresh.
+	stale(eps float64, cur *snapshot) bool
+	// build runs refresh number r (0, 1, 2, ...) at width eps and returns
+	// the generation to publish; the publisher stamps its version and build
+	// time. force asks a shape that rebuilds in parts to rebuild every part.
+	build(eps float64, force bool, r uint64) (*snapshot, error)
+}
+
 // Snapshot reports the currently published snapshot's metadata, if any,
 // including its current drift against the live population.
-func (s *Session) Snapshot() (SnapshotInfo, bool) {
-	p := s.snap.Load()
-	if p == nil {
+func (p *publisher) Snapshot() (SnapshotInfo, bool) {
+	sn := p.snap.Load()
+	if sn == nil {
 		return SnapshotInfo{}, false
 	}
-	return p.info(s.mutOps.Load()), true
+	return sn.info(p.src.MutationOps()), true
+}
+
+// answer serves q from the published snapshot (see snapshot.answer),
+// counting the outcome.
+func (p *publisher) answer(q Query) (Answer, bool) {
+	ans, ok := p.snap.Load().answer(q, p.src.MutationOps())
+	if ok {
+		p.answered.Add(1)
+	} else {
+		p.missed.Add(1)
+	}
+	return ans, ok
 }
 
 // refreshSeedTag namespaces refresh-build engine seeds ("Snap") within the
@@ -156,120 +217,96 @@ var (
 )
 
 // Refresh publishes an ε-summary snapshot, but only when needed: it is the
-// drift-gated entry point of the repair policy. When the session already has
-// a published snapshot at exactly this eps and the accumulated mutation
-// drift since its build is still below the snapshot's drift budget
-// ((1−θ)·εn with θ = 1/2; see driftBudget), the ±εn guarantee is not
-// threatened and Refresh is a no-op — it returns the standing snapshot's
-// metadata (with its current Drift), allocates nothing, and counts a
-// skipped refresh. Once drift reaches the budget — or no snapshot exists,
-// or the requested eps differs — the rebuild is forced. ForceRefresh
-// bypasses the gate entirely.
+// drift-gated entry point of the repair policy. When a snapshot at exactly
+// this eps is published and the mutation drift since its build does not
+// threaten its ±εn guarantee, Refresh is a no-op — it returns the standing
+// snapshot's metadata (with its current Drift), allocates nothing, and
+// counts a skipped refresh. Otherwise — or when no snapshot exists, or the
+// requested eps differs — the rebuild is forced. ForceRefresh bypasses the
+// gate entirely. Refreshes serialize with each other; readers are never
+// blocked — they keep answering from the previous generation until the
+// atomic pointer swap.
 //
-// A rebuild is deterministic: build number r runs on an engine seeded from
+// On a Session the gate compares the accumulated mutation drift with the
+// snapshot's drift budget ((1−θ)·εn with θ = 1/2; see driftBudget). A
+// rebuild is deterministic: build number r runs on an engine seeded from
 // (session seed, r) in its own namespace, so two sessions with equal Config,
 // equal build counts, and equal population state publish bit-identical
-// snapshots no matter what queries ran in between. Refreshes serialize with
-// each other; readers are never blocked — they keep answering from the
-// previous generation until the atomic pointer swap.
+// snapshots no matter what queries ran in between. Like BuildSummary, it
+// requires a failure-free Config (the grid build runs the non-robust
+// tournament) and eps in (0, 0.5].
 //
-// Like BuildSummary, Refresh requires a failure-free Config (the grid build
-// runs the non-robust tournament) and eps in (0, 0.5].
-func (s *Session) Refresh(eps float64) (SnapshotInfo, error) {
-	if err := validSummaryEps(eps); err != nil {
-		return SnapshotInfo{}, err
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.closed {
-		return SnapshotInfo{}, errSessionClosed
-	}
-	if p := s.snap.Load(); p != nil && p.sum.eps == eps {
-		curOps := s.mutOps.Load()
-		if curOps-p.ops < p.budget {
-			s.qstats.refreshesSkipped.Add(1)
-			return p.info(curOps), nil
-		}
-	}
-	return s.rebuildLocked(eps)
-}
+// On a ShardedSession the gate is the two-level repair policy, rebuilding
+// only what drift demands. Shard i is dirty when it has no cached summary
+// at this width or the mutation ops routed to it since its last build reach
+// its own drift budget (driftBudget(ε/2, n_i) — summaries are built at half
+// width, so each shard tolerates ≈ε/4·n_i ops); clean shards are not
+// contacted and their cached summaries merge as-is, and with no shard dirty
+// the standing merged snapshot is kept. One refresh epoch costs a constant
+// two cross-shard hops however many shards rebuild. Shard i's b-th build
+// runs on an engine seeded from (shard.SeedFor(seed, i), b), and the merge
+// is input-order insensitive, so equal configurations publish bit-identical
+// merged summaries across gang and process deployments.
+func (p *publisher) Refresh(eps float64) (SnapshotInfo, error) { return p.refresh(eps, false) }
 
 // ForceRefresh builds and publishes a new ε-summary snapshot
-// unconditionally, bypassing the drift gate — the original Refresh
-// semantics. Harnesses that pin build determinism per (seed, build count)
-// use this; serving layers should prefer the gated Refresh.
-func (s *Session) ForceRefresh(eps float64) (SnapshotInfo, error) {
+// unconditionally, bypassing the drift gate (on a ShardedSession, every
+// shard rebuilds) — the original Refresh semantics. Harnesses that pin
+// build determinism per (seed, build count) use this; serving layers should
+// prefer the gated Refresh.
+func (p *publisher) ForceRefresh(eps float64) (SnapshotInfo, error) { return p.refresh(eps, true) }
+
+func (p *publisher) refresh(eps float64, force bool) (SnapshotInfo, error) {
 	if err := validSummaryEps(eps); err != nil {
 		return SnapshotInfo{}, err
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.closed {
+	p.refreshMu.Lock()
+	defer p.refreshMu.Unlock()
+	if p.closed.Load() {
 		return SnapshotInfo{}, errSessionClosed
 	}
-	return s.rebuildLocked(eps)
-}
-
-// rebuildLocked runs one snapshot build and publishes it; the caller holds
-// snapMu. The population read lock is held across the build so the summary
-// captures one consistent population (mutations block for the build's
-// duration; queries do not). The build keeps node 0's row only: that is all
-// a snapshot read or a shard's wire envelope ever looks at.
-func (s *Session) rebuildLocked(eps float64) (SnapshotInfo, error) {
-	s.popMu.RLock()
-	if s.cfg.failing(s.n) {
-		s.popMu.RUnlock()
-		return SnapshotInfo{}, errSummaryFailures
+	if cur := p.snap.Load(); !force && cur != nil && cur.sum.eps == eps && !p.src.stale(eps, cur) {
+		p.skipped.Add(1)
+		return cur.info(p.src.MutationOps()), nil
 	}
-	r := s.refreshes
-	s.refreshes++
-	watermark := s.nextID.Load()
-	gen := s.generation.Load()
-	ops := s.mutOps.Load()
-	n := s.n
-	rig := s.checkout()
-	s.reseed(rig, s.refreshSeed(r))
+	r := p.refreshes.Load()
 	start := time.Now()
-	sum := buildSummaryInto(rig.tour, s.values, eps, s.cfg.K, 1)
-	buildNanos := time.Since(start).Nanoseconds()
-	s.popMu.RUnlock()
-	s.qstats.refreshBuildNanos.Add(buildNanos)
-	s.qstats.lastRefreshNanos.Store(buildNanos)
-	s.release(rig)
-	sn := &snapshot{
-		sum: sum, version: r + 1, watermark: watermark, builtAt: time.Now(),
-		gen: gen, ops: ops, n: n, budget: driftBudget(eps, n),
+	sn, err := p.src.build(eps, force, r)
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
-	s.snap.Store(sn)
-	return sn.info(ops), nil
+	buildNanos := time.Since(start).Nanoseconds()
+	p.buildNanos.Add(buildNanos)
+	p.lastBuildNanos.Store(buildNanos)
+	sn.version, sn.builtAt = r+1, time.Now()
+	p.snap.Store(sn)
+	p.refreshes.Store(r + 1)
+	return sn.info(sn.ops), nil
 }
 
 // StartRefresher publishes an initial snapshot at width eps synchronously,
 // then — for ttl > 0 — starts a background goroutine that runs the
 // drift-gated Refresh every ttl until Close: a tick rebuilds only when
 // accumulated mutation drift threatens the εn bound (or the published width
-// differs), so an unmutated session pays no periodic rebuild cost. With
-// ttl ≤ 0 it is exactly one Refresh (on-demand refreshing stays available
-// either way). At most one refresher may run per session.
-func (s *Session) StartRefresher(eps float64, ttl time.Duration) (SnapshotInfo, error) {
-	info, err := s.Refresh(eps)
-	if err != nil {
+// differs), so an unmutated deployment pays no periodic rebuild or gather.
+// With ttl ≤ 0 it is exactly one Refresh (on-demand refreshing stays
+// available either way). At most one refresher may run per session.
+func (p *publisher) StartRefresher(eps float64, ttl time.Duration) (SnapshotInfo, error) {
+	info, err := p.Refresh(eps)
+	if err != nil || ttl <= 0 {
 		return info, err
 	}
-	if ttl <= 0 {
-		return info, nil
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.closed {
+	p.refreshMu.Lock()
+	defer p.refreshMu.Unlock()
+	if p.closed.Load() {
 		return info, errSessionClosed
 	}
-	if s.stopRefresher != nil {
+	if p.stopRefresher != nil {
 		return info, errRefresherActive
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	s.stopRefresher, s.refresherDone = stop, done
+	p.stopRefresher, p.refresherDone = stop, done
 	go func() {
 		defer close(done)
 		t := time.NewTicker(ttl)
@@ -279,7 +316,7 @@ func (s *Session) StartRefresher(eps float64, ttl time.Duration) (SnapshotInfo, 
 			case <-stop:
 				return
 			case <-t.C:
-				if _, err := s.Refresh(eps); err != nil {
+				if _, err := p.Refresh(eps); err != nil {
 					// Only possible once the session is closed; the Close
 					// that raced us is about to stop this goroutine anyway.
 					return
@@ -290,20 +327,58 @@ func (s *Session) StartRefresher(eps float64, ttl time.Duration) (SnapshotInfo, 
 	return info, nil
 }
 
+// shutdown marks the publisher closed — further refreshes fail, published
+// snapshots keep serving — and stops the refresher, waiting for it to exit.
+// It reports whether this call was the one that closed the publisher.
+func (p *publisher) shutdown() bool {
+	p.refreshMu.Lock()
+	stop, done := p.stopRefresher, p.refresherDone
+	p.stopRefresher, p.refresherDone = nil, nil
+	first := !p.closed.Swap(true)
+	p.refreshMu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
+	return first
+}
+
+// stale is the session's drift gate: the standing snapshot must be rebuilt
+// once the mutation ops applied since its build reach its drift budget.
+func (s *Session) stale(_ float64, cur *snapshot) bool {
+	return s.mutOps.Load()-cur.ops >= cur.budget
+}
+
+// build runs snapshot build r: a grid build on a pooled rig seeded with
+// refreshSeed(r). The population read lock is held across the build so the
+// summary captures one consistent population (mutations block for the
+// build's duration; queries do not). The build keeps node 0's row only:
+// that is all a snapshot read or a shard's wire envelope ever looks at.
+func (s *Session) build(eps float64, _ bool, r uint64) (*snapshot, error) {
+	s.popMu.RLock()
+	defer s.popMu.RUnlock()
+	if s.cfg.failing(s.n) {
+		return nil, errSummaryFailures
+	}
+	watermark := s.nextID.Load()
+	gen := s.generation.Load()
+	ops := s.mutOps.Load()
+	rig := s.checkout()
+	defer s.release(rig)
+	s.reseed(rig, s.refreshSeed(r))
+	sum := buildSummaryInto(rig.tour, s.values, eps, s.cfg.K, 1)
+	return &snapshot{
+		sum: sum, watermark: watermark,
+		gen: gen, ops: ops, n: s.n, budget: driftBudget(eps, s.n),
+	}, nil
+}
+
 // Close stops the background refresher (if any) and marks the session
 // closed: further refreshes fail with an error, while queries — snapshot
 // and live — keep answering from the state already published. Close is
 // idempotent and safe to call concurrently with queries and refreshes.
 func (s *Session) Close() error {
-	s.snapMu.Lock()
-	stop, done := s.stopRefresher, s.refresherDone
-	s.stopRefresher, s.refresherDone = nil, nil
-	s.closed = true
-	s.snapMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	s.shutdown()
 	return nil
 }
 
@@ -315,14 +390,7 @@ func (s *Session) snapshotAnswer(q Query) (Answer, bool) {
 	if q.Mode != ServeSnapshot || q.Exact {
 		return Answer{}, false
 	}
-	p := s.snap.Load()
-	ans, ok := p.answer(q, s.mutOps.Load())
-	if ok {
-		s.qstats.snapshotQueries.Add(1)
-	} else {
-		s.qstats.snapshotFallbacks.Add(1)
-	}
-	return ans, ok
+	return s.answer(q)
 }
 
 // answer serves q from snapshot p, which may be nil (nothing published):

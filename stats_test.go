@@ -1,9 +1,13 @@
 package gossipq_test
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gossipq"
+	"gossipq/internal/dist"
 )
 
 // TestSessionStats walks a session through every serving path — live
@@ -123,5 +127,94 @@ func TestSessionStats(t *testing.T) {
 	}
 	if st.Generation != 4 {
 		t.Errorf("Generation = %d, want 4 (three single mutations + one batch)", st.Generation)
+	}
+}
+
+// parkingObserver parks the first observed gossip round until release is
+// closed, or for at most 5 s; building is closed when that round arrives.
+type parkingObserver struct {
+	once     sync.Once
+	building chan struct{}
+	release  chan struct{}
+	timedOut atomic.Bool
+}
+
+func newParkingObserver() *parkingObserver {
+	return &parkingObserver{building: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (o *parkingObserver) ObserveRound(gossipq.RoundEvent) {
+	o.once.Do(func() {
+		close(o.building)
+		select {
+		case <-o.release:
+		case <-time.After(5 * time.Second):
+			o.timedOut.Store(true)
+		}
+	})
+}
+
+// TestStatsDoNotWaitOnRebuild pins that Stats never waits on a running
+// rebuild, in both session shapes: the first round of the refresh build
+// parks until Stats has returned on the test goroutine. A Stats that waits
+// on the refresh lock can only return once the build finishes, so the
+// parked round times out instead.
+func TestStatsDoNotWaitOnRebuild(t *testing.T) {
+	values := dist.Generate(dist.Uniform, 2048, 83)
+	type shape struct {
+		refresh   func() error
+		refreshes func() uint64
+		close     func() error
+	}
+	build := map[string]func(gossipq.Config) (shape, error){
+		"session": func(cfg gossipq.Config) (shape, error) {
+			s, err := gossipq.NewSession(values, cfg)
+			if err != nil {
+				return shape{}, err
+			}
+			return shape{
+				refresh:   func() error { _, err := s.ForceRefresh(0.1); return err },
+				refreshes: func() uint64 { return s.Stats().Refreshes },
+				close:     s.Close,
+			}, nil
+		},
+		"sharded": func(cfg gossipq.Config) (shape, error) {
+			ss, err := gossipq.NewShardedSession(values, 2, cfg)
+			if err != nil {
+				return shape{}, err
+			}
+			return shape{
+				refresh:   func() error { _, err := ss.ForceRefresh(0.1); return err },
+				refreshes: func() uint64 { return ss.Stats().Refreshes },
+				close:     ss.Close,
+			}, nil
+		},
+	}
+	for _, name := range []string{"session", "sharded"} {
+		t.Run(name, func(t *testing.T) {
+			obs := newParkingObserver()
+			sh, err := build[name](gossipq.Config{Seed: 89, Workers: 1, RoundObserver: obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sh.close()
+			done := make(chan error, 1)
+			go func() { done <- sh.refresh() }()
+			<-obs.building
+			during := sh.refreshes()
+			close(obs.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if obs.timedOut.Load() {
+				t.Fatal("Stats waited for the running rebuild to finish")
+			}
+			if during != 0 {
+				t.Errorf("Refreshes = %d while the first build runs, want 0", during)
+			}
+			if after := sh.refreshes(); after != 1 {
+				t.Errorf("Refreshes = %d after the build, want 1", after)
+			}
+		})
 	}
 }
